@@ -147,7 +147,10 @@ def span_f3_rows(g: SignedGraph, tris=None) -> list[dict]:
 
 
 def rows_to_matrix(rows) -> np.ndarray:
-    """Dense int64 matrix over the ascending-sorted monomials that appear."""
+    """Dense int64 matrix over the ascending-sorted monomials that appear.
+
+    The pipeline ranks the sparse rows directly; this is for inspection and tests.
+    """
     cols = sorted({mono for row in rows for mono in row})
     index = {mono: c for c, mono in enumerate(cols)}
     a = np.zeros((len(rows), len(cols)), dtype=np.int64)
@@ -184,23 +187,24 @@ def dim_a2_rank(g: SignedGraph, tris=None) -> int:
     """Degree-2 algebra dimension from the exact boundary-row rank; any graph."""
     tris = triangles(g) if tris is None else tris
     rows = [boundary(t.labels) for t in tris]
-    return comb(g.n, 2) - exact_rank(rows_to_matrix(rows))
+    return comb(g.n, 2) - exact_rank(rows)
 
 
 def rank_i3_2(g: SignedGraph, tris=None) -> int:
     """Exact dimension of the degree-3 part of the ideal generated in degree 2."""
-    return exact_rank(rows_to_matrix(ideal3_rows(g, tris)))
+    return exact_rank(ideal3_rows(g, tris))
 
 
 def dim_span_f3(g: SignedGraph, tris=None) -> int:
     """Exact dimension of the span of the non-degenerate rows."""
-    return exact_rank(rows_to_matrix(span_f3_rows(g, tris)))
+    return exact_rank(span_f3_rows(g, tris))
 
 
 def phi3_from_dims(n: int, dim_a2_value: int, dim_i3_2: int) -> int:
     """Falk's rank formula: 2 C(n+1,3) - n dim A^2 + C(n,3) - dim I3_2."""
     value = 2 * comb(n + 1, 3) - n * dim_a2_value + comb(n, 3) - dim_i3_2
-    assert value >= 0, f"negative invariant {value}; some dimension is wrong"
+    if value < 0:
+        raise RankMismatch(f"negative invariant {value}; some dimension is wrong")
     return value
 
 

@@ -1,38 +1,36 @@
-"""Exact matrix rank over the rationals, with an optional prime-field screen.
+"""Exact matrix rank by sparse elimination.
 
-The fast path runs fraction-free integer elimination in int64 (see _kernels);
-when the pivot-growth guard trips it redoes the computation over Python's
-arbitrary-precision integers, so the result is always the exact rank.
+Every matrix the pipeline ranks has rows e_t ^ boundary(e_T): three entries
+of +-1 among thousands of columns.  So rows stay sparse, as dicts from
+column key to value, and one loop ranks them: each row has its leading
+entry (least column key) cancelled against the pivot row kept for that
+column until it is zero or takes a column with no pivot yet, where it is
+stored, scaled to leading coefficient 1.  Over the rationals the scaling is
+exact in `Fraction`; over Z/p it is a modular inverse.  The rank is the
+number of pivots.
 
-FALK_RANK_BACKEND selects the strategy:
-
-* "exact" (default): int64 elimination with the big-integer fallback;
-* "screened": a cheap elimination mod SCREEN_PRIME runs first.  The screen
-  can only undershoot the rational rank, so when it reaches min(rows, cols)
-  the exact run is skipped; otherwise the exact path runs and the screen is
-  checked against it.  Results are identical to "exact" by construction.
+bigint_rank is a separate dense fraction-free elimination; it is the
+independent reference the tests and `triangles()` use.
 """
 
-import os
+from fractions import Fraction
 
 import numpy as np
 
-from . import _kernels
-from .errors import RankMismatch
-
-# Prime modulus for the screen; SCREEN_PRIME**2 still fits in int64.
+# Default modulus of modp_rank; a prime, so Z/p is a field.
 SCREEN_PRIME = 2_147_483_647
 
-_BACKENDS = ("exact", "screened")
 
-
-def _as_matrix(m) -> np.ndarray:
-    a = np.array(m, dtype=np.int64, copy=True)
+def _sparse_rows(m) -> list[dict]:
+    """Rows of `m` as dicts: a list of dict rows as it is, a dense 2-d matrix row by row."""
+    if isinstance(m, list) and all(isinstance(row, dict) for row in m):
+        return m
+    a = np.asarray(m)
+    if a.size == 0:
+        return []
     if a.ndim != 2:
-        if a.size == 0:
-            return a.reshape(0, 0)
         raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
-    return a
+    return [{j: int(v) for j, v in enumerate(row) if v} for row in a.tolist()]
 
 
 def bigint_rank(rows) -> int:
@@ -64,39 +62,44 @@ def bigint_rank(rows) -> int:
     return rank
 
 
+def _eliminate(rows, p: int | None) -> int:
+    """Pivot count of the sparse rows over the rationals (p None) or over Z/p."""
+    pivots = {}
+    for src in rows:
+        row = {k: v % p if p else v for k, v in src.items()}
+        row = {k: v for k, v in row.items() if v}
+        while row:
+            lead = min(row)
+            f = row[lead]
+            pivot = pivots.get(lead)
+            if pivot is None:
+                if p:
+                    inv = pow(f, -1, p)
+                    pivots[lead] = {k: v * inv % p for k, v in row.items()}
+                else:
+                    inv = f if abs(f) == 1 else Fraction(1, f)  # 1/f, an int for +-1
+                    pivots[lead] = {k: v * inv for k, v in row.items()}
+                break
+            for k, v in pivot.items():
+                w = row.get(k, 0) - f * v
+                if p:
+                    w %= p
+                if w:
+                    row[k] = w
+                else:
+                    del row[k]
+    return len(pivots)
+
+
+def exact_rank(m) -> int:
+    """Rank over the rationals of a dense integer matrix or a list of sparse dict rows."""
+    return _eliminate(_sparse_rows(m), None)
+
+
 def modp_rank(m, p: int = SCREEN_PRIME) -> int:
-    """Rank over Z/p; never exceeds the rank over the rationals."""
-    a = _as_matrix(m)
-    if a.size == 0:
-        return 0
-    return int(_kernels.modp_impl()(a, p))
-
-
-def exact_rank(m, backend: str | None = None) -> int:
-    """Rank over the rationals.  `backend` overrides FALK_RANK_BACKEND."""
-    a = _as_matrix(m)
-    if a.size == 0:
-        return 0
-    mode = backend or os.environ.get("FALK_RANK_BACKEND", "exact")
-    if mode not in _BACKENDS:
-        raise ValueError(f"unknown rank backend {mode!r}, expected one of {_BACKENDS}")
-    screen = None
-    if mode == "screened":
-        screen = modp_rank(a)
-        if screen == min(a.shape):
-            return screen
-    rank = int(_kernels.bareiss_impl()(a.copy()))
-    if rank < 0:  # pivot growth left the int64-safe range
-        rank = bigint_rank(a.tolist())
-    if screen is not None and screen > rank:
-        raise RankMismatch(
-            f"mod-{SCREEN_PRIME} screen rank {screen} exceeds exact rank {rank}"
-        )
-    return rank
+    """Rank over Z/p for a prime p; never exceeds the rank over the rationals."""
+    return _eliminate(_sparse_rows(m), p)
 
 
 def warmup() -> None:
-    """Run both kernels once on a tiny matrix (absorbs numba JIT compilation)."""
-    m = np.eye(2, dtype=np.int64)
-    exact_rank(m, backend="exact")
-    modp_rank(m)
+    """No-op, kept for API compatibility: the rank engine has nothing to compile."""

@@ -1,13 +1,7 @@
 import pytest
 
-from falk3 import complete_doubled, loop_apex_triangle, warmup
+from falk3 import complete_doubled, loop_apex_triangle
 from helpers import hub4_mixed
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # absorb numba JIT compilation before any timed assertion runs
-    warmup()
 
 
 @pytest.fixture

@@ -216,7 +216,7 @@ def test_criterion_9_structural_identities(exhaustive_records, sampled_records):
     assert bad == []
 
     # a prime-field rank never exceeds the exact rank
-    screened = 0
+    ranked = 0
     fixtures = [
         loop_apex_triangle(),
         complete_doubled(3, loops=(1,)),
@@ -229,5 +229,5 @@ def test_criterion_9_structural_identities(exhaustive_records, sampled_records):
             if m.size == 0:
                 continue
             assert modp_rank(m) <= exact_rank(m)
-            screened += 1
-    _report(f"criterion 9: boundary^2 = 0 (n<=8), direct-sum identity on {len(records)} graphs, screen <= exact on {screened} matrices: PASS")
+            ranked += 1
+    _report(f"criterion 9: boundary^2 = 0 (n<=8), direct-sum identity on {len(records)} graphs, screen <= exact on {ranked} matrices: PASS")

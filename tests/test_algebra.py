@@ -7,17 +7,21 @@ from hypothesis import strategies as st
 
 from falk3 import (
     B2Present,
+    RankMismatch,
     SignedGraph,
     boundary,
+    census,
     complete_doubled,
     complete_positive,
     dim_a2,
     dim_a2_rank,
+    dim_i3_2_formula,
     dim_span_f3,
     ideal3_rows,
     loop,
     neg,
     phi3_from_dims,
+    phi3_formula,
     phi3_oracle,
     pos,
     rank_i3_2,
@@ -170,6 +174,24 @@ def test_rank_identity_arithmetic():
     for n in range(0, 12):
         assert 2 * comb(n + 1, 3) - n * comb(n, 2) + comb(n, 3) == 0
         assert phi3_from_dims(n, comb(n, 2), 0) == 0
+
+
+def test_phi3_from_inconsistent_dims_raises():
+    # dim A^2 = C(n,2) means no triangles, so no ideal: dim I3_2 = 1 is inconsistent
+    with pytest.raises(RankMismatch, match="some dimension is wrong"):
+        phi3_from_dims(4, comb(4, 2), 1)
+
+
+@pytest.mark.parametrize(
+    "ell, dim_i3_2, dim_span, phi3", [(6, 2155, 2070, 480), (7, 5311, 5165, 967)]
+)
+def test_dims_large_doubled_with_loop(ell, dim_i3_2, dim_span, phi3):
+    # thousands of ideal rows: the rank side against the census closed forms
+    g = complete_doubled(ell, loops=(1,))
+    c = census(g)
+    assert rank_i3_2(g) == dim_i3_2_formula(g, c) == dim_i3_2
+    assert dim_span_f3(g) == dim_span
+    assert phi3_oracle(g) == phi3_formula(c) == phi3
 
 
 @given(graphs_with_sigma(max_ell=4))

@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from falk3 import _kernels, bigint_rank, exact_rank, modp_rank
-from falk3.rank import SCREEN_PRIME
+from falk3 import bigint_rank, exact_rank, modp_rank
 
 
 small_matrices = arrays(
@@ -45,22 +44,19 @@ def test_rank_deficient():
 @settings(max_examples=150, deadline=None)
 def test_exact_rank_matches_sympy(m):
     expected = sympy_rank(m)
-    assert exact_rank(m, backend="exact") == expected
-    assert exact_rank(m, backend="screened") == expected
+    assert exact_rank(m) == expected
     assert bigint_rank(m.tolist()) == expected
 
 
 @given(big_matrices)
 @settings(max_examples=40, deadline=None)
 def test_exact_rank_survives_pivot_growth(m):
-    # entries beyond the int64 guard force the big-integer fallback
+    # large leading entries give pivots other than +-1, so the rows turn fractional
     assert exact_rank(m) == sympy_rank(m)
 
 
 def test_guard_trips_on_oversized_entries():
     m = np.array([[2**40, 1], [1, 2**40]], dtype=np.int64)
-    assert _kernels.bareiss_rank_jit(m.copy()) == -1
-    assert _kernels.bareiss_rank_numpy(m.copy()) == -1
     assert exact_rank(m) == 2
 
 
@@ -72,32 +68,24 @@ def test_screen_never_exceeds_exact(m):
 
 @given(small_matrices)
 @settings(max_examples=100, deadline=None)
-def test_kernel_paths_agree(m):
-    jit_b = _kernels.bareiss_rank_jit(m.copy())
-    np_b = _kernels.bareiss_rank_numpy(m.copy())
-    assert jit_b == np_b
-    assert _kernels.modp_rank_jit(m.copy(), SCREEN_PRIME) == _kernels.modp_rank_numpy(
-        m.copy(), SCREEN_PRIME
-    )
+def test_sparse_rows_match_dense(m):
+    # the same matrix as dict rows keyed by (tag, column), explicit zeros kept
+    rows = [{("c", j): int(v) for j, v in enumerate(row)} for row in m]
+    expected = sympy_rank(m)
+    assert exact_rank(rows) == exact_rank(m) == expected
+    assert modp_rank(rows) == modp_rank(m) <= expected
 
 
-def test_numpy_path_selected_by_env(monkeypatch):
-    monkeypatch.setenv("FALK_NUMBA", "0")
-    assert not _kernels.numba_enabled()
-    assert _kernels.bareiss_impl() is _kernels.bareiss_rank_numpy
-    m = np.array([[1, 2], [3, 4]], dtype=np.int64)
-    assert exact_rank(m) == 2
-    monkeypatch.setenv("FALK_NUMBA", "1")
-    assert _kernels.numba_enabled() == _kernels.HAVE_NUMBA
+def test_sparse_rows_with_fractional_pivots():
+    # leading coefficients 2 and 3 force non-integer pivot rows
+    rows = [{"a": 2, "b": 1, "c": 1}, {"a": 3, "b": 1}, {"b": 1, "c": 3}]
+    assert exact_rank(rows) == sympy.Matrix([[2, 1, 1], [3, 1, 0], [0, 1, 3]]).rank() == 2
+    assert exact_rank([{}, {"x": 0}]) == 0
 
 
-def test_backend_env_variable(monkeypatch):
-    m = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 0]], dtype=np.int64)
-    monkeypatch.setenv("FALK_RANK_BACKEND", "screened")
-    assert exact_rank(m) == 2
-    monkeypatch.setenv("FALK_RANK_BACKEND", "junk")
+def test_rejects_non_matrix_input():
     with pytest.raises(ValueError):
-        exact_rank(m)
+        exact_rank(np.zeros((2, 2, 2), dtype=np.int64))
 
 
 def test_input_is_not_mutated():
@@ -106,3 +94,7 @@ def test_input_is_not_mutated():
     exact_rank(m)
     modp_rank(m)
     assert (m == keep).all()
+    rows = [{"a": 2, "b": 1}, {"a": 1, "b": 2}]
+    exact_rank(rows)
+    modp_rank(rows)
+    assert rows == [{"a": 2, "b": 1}, {"a": 1, "b": 2}]
