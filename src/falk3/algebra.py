@@ -2,9 +2,11 @@
 
 Monomials e_S are keyed by ascending tuples of hyperplane labels; sparse
 vectors are plain dicts mapping tuple -> integer coefficient.  A "triangle"
-is a dependent label triple, i.e. three hyperplanes of rank 2; every such
-triple is one of three local patterns, and the pattern route is checked
-against an exact rank computation for every triple.
+is a dependent label triple, i.e. three hyperplanes of rank 2.  Every such
+triple is one of three local patterns (k3, d21, k22), which `triangles()`
+reads straight off the graph.  An exact check runs beside it on every call:
+the plane spanned by each of the C(n,2) label pairs, keyed by the primitive
+integer wedge of their normals, gives the dependent triples independently.
 """
 
 from __future__ import annotations
@@ -12,13 +14,14 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 
 from .errors import B2Present, InternalKindMismatch, RankMismatch
-from .graphs import SignedGraph
-from .rank import bigint_rank, exact_rank
+from .graphs import Edge, SignedGraph
+# bigint_rank stays a module attribute: perfbench/spans.py wraps algebra.bigint_rank
+from .rank import bigint_rank, exact_rank  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -58,62 +61,88 @@ def wedge(label: int, vec: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _dependent(g: SignedGraph, triple) -> bool:
-    """Exact-rank route: the three normal vectors span at most a plane."""
-    es = [g.edge(k) for k in triple]
-    verts = sorted({v for e in es for v in (e.i, e.j)})
-    col = {v: c for c, v in enumerate(verts)}
-    rows = []
-    for e in es:
-        r = [0] * len(verts)
-        r[col[e.i]] = 1
-        if not e.is_loop:
-            r[col[e.j]] = -e.sign
-        rows.append(r)
-    return bigint_rank(rows) <= 2
+def _pattern_triangles(g: SignedGraph) -> dict[tuple[int, int, int], str]:
+    """Pattern route: every triangle read off the graph's label maps, with its kind."""
+    signed, looped = g._sign_label, g._loop_label
+    found = {}
+    for a, b, c in itertools.combinations(range(1, g.ell + 1), 3):
+        for s_ab in (1, -1):
+            l_ab = signed.get((a, b, s_ab))
+            if l_ab is None:
+                continue
+            for s_bc in (1, -1):
+                l_bc = signed.get((b, c, s_bc))
+                # balanced: the sign on ac is the product of the other two
+                l_ac = signed.get((a, c, s_ab * s_bc))
+                if l_bc is not None and l_ac is not None:
+                    found[tuple(sorted((l_ab, l_bc, l_ac)))] = "k3"
+    for (i, j, s), label in signed.items():
+        loops = [looped[v] for v in (i, j) if v in looped]
+        if s == 1 and (i, j, -1) in signed:
+            for lv in loops:
+                found[tuple(sorted((label, signed[(i, j, -1)], lv)))] = "d21"
+        if len(loops) == 2:
+            found[tuple(sorted((label, *loops)))] = "k22"
+    return found
 
 
-def _classify(g: SignedGraph, triple) -> str | None:
-    """Pattern route: local sign/loop shape of the triple, or None."""
-    es = [g.edge(k) for k in triple]
-    loops = [e for e in es if e.is_loop]
-    links = [e for e in es if not e.is_loop]
-    if not loops:
-        pairs = {e.pair for e in links}
-        verts = {v for e in links for v in e.pair}
-        if len(pairs) == 3 and len(verts) == 3:
-            if links[0].sign * links[1].sign * links[2].sign == 1:
-                return "k3"
-    elif len(loops) == 1 and len(links) == 2:
-        a, b = links
-        # two edges on one pair always carry opposite signs (duplicates are rejected)
-        if a.pair == b.pair and loops[0].i in a.pair:
-            return "d21"
-    elif len(loops) == 2 and len(links) == 1:
-        if {e.i for e in loops} == set(links[0].pair):
-            return "k22"
-    return None
+def _normal(e: Edge) -> tuple[tuple[int, int], ...]:
+    """Sparse integer normal of an edge's hyperplane as (vertex, coefficient) items."""
+    return ((e.i, 1),) if e.is_loop else ((e.i, 1), (e.j, -e.sign))
+
+
+def _rank_triples(normals) -> set[tuple[int, int, int]]:
+    """Rank route: the label triples (1-based) whose normals span at most a plane.
+
+    The wedge u ^ v of two integer normals, made primitive and given a
+    positive first entry, is a canonical key for the plane they span.
+    Labels are grouped by the planes of their pairs; since no two normals
+    are parallel, a triple has rank <= 2 exactly when all three lie in one
+    group, so the dependent triples are the 3-subsets of each group.
+    """
+    planes: dict[tuple, set[int]] = {}
+    for (ku, u), (kv, v) in itertools.combinations(enumerate(normals, start=1), 2):
+        w = {}
+        for x, ux in u:
+            for y, vy in v:
+                if x < y:
+                    w[(x, y)] = w.get((x, y), 0) + ux * vy
+                elif y < x:
+                    w[(y, x)] = w.get((y, x), 0) - ux * vy
+        entries = sorted(item for item in w.items() if item[1])
+        if not entries:
+            raise InternalKindMismatch(f"labels {ku} and {kv} have parallel normals")
+        d = gcd(*(c for _, c in entries))
+        if entries[0][1] < 0:
+            d = -d
+        key = tuple((xy, c // d) for xy, c in entries)
+        planes.setdefault(key, set()).update((ku, kv))
+    return {
+        triple
+        for group in planes.values()
+        if len(group) >= 3
+        for triple in itertools.combinations(sorted(group), 3)
+    }
 
 
 def triangles(g: SignedGraph) -> list[Triangle]:
     """All dependent label triples, ascending, with kinds.
 
-    Both enumeration routes run on every triple; a disagreement raises
-    InternalKindMismatch (it cannot happen for graphs in this edge model,
-    and is kept as a diagnostic).
+    Two exact routes run on every call: the pattern route reads the k3,
+    d21 and k22 shapes off the graph, and the rank route groups the C(n,2)
+    label pairs by the plane their normals span.  If the two triple sets
+    differ, InternalKindMismatch names a triple found by one route only (it
+    cannot happen for graphs in this edge model, and is kept as a check).
     """
-    out = []
-    for triple in itertools.combinations(range(1, g.n + 1), 3):
-        dep = _dependent(g, triple)
-        kind = _classify(g, triple)
-        if dep != (kind is not None):
-            raise InternalKindMismatch(
-                f"triple {triple}: rank route says dependent={dep}, "
-                f"pattern route says kind={kind}"
-            )
-        if dep:
-            out.append(Triangle(triple, kind))
-    return out
+    kinds = _pattern_triangles(g)
+    dependent = _rank_triples([_normal(e) for e in g.edges])
+    if dependent != kinds.keys():
+        triple = min(dependent ^ kinds.keys())
+        raise InternalKindMismatch(
+            f"triple {triple}: rank route says dependent={triple in dependent}, "
+            f"pattern route says kind={kinds.get(triple)}"
+        )
+    return [Triangle(t, kinds[t]) for t in sorted(kinds)]
 
 
 # -- row builders ----------------------------------------------------------

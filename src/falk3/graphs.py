@@ -12,6 +12,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -240,8 +241,9 @@ class SignedGraph:
 
     # -- forbidden sub-arrangement -----------------------------------------
 
-    def b2_witnesses(self) -> list[tuple[int, int, int, int]]:
-        """Label 4-sets {+ij, -ij, loop i, loop j}, sorted ascending."""
+    @cached_property
+    def _b2(self) -> tuple[tuple[int, int, int, int], ...]:
+        """The witnesses, found once: the graph never changes after __init__."""
         out = []
         for (i, j, s) in self._sign_label:
             if s != 1:
@@ -250,10 +252,14 @@ class SignedGraph:
             li, lj = self._loop_label.get(i), self._loop_label.get(j)
             if nl is not None and li is not None and lj is not None:
                 out.append(tuple(sorted((self._sign_label[(i, j, 1)], nl, li, lj))))
-        return sorted(out)
+        return tuple(sorted(out))
+
+    def b2_witnesses(self) -> list[tuple[int, int, int, int]]:
+        """Label 4-sets {+ij, -ij, loop i, loop j}, sorted ascending; a fresh list per call."""
+        return list(self._b2)
 
     def contains_b2(self) -> bool:
-        return bool(self.b2_witnesses())
+        return bool(self._b2)
 
     # -- dunder ----------------------------------------------------------
 

@@ -10,7 +10,7 @@ exact in `Fraction`; over Z/p it is a modular inverse.  The rank is the
 number of pivots.
 
 bigint_rank is a separate dense fraction-free elimination; it is the
-independent reference the tests and `triangles()` use.
+independent reference the tests use.
 """
 
 from fractions import Fraction

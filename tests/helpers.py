@@ -4,7 +4,7 @@ import itertools
 
 from hypothesis import strategies as st
 
-from falk3 import SignedGraph, loop, neg, pos
+from falk3 import InternalKindMismatch, SignedGraph, Triangle, bigint_rank, loop, neg, pos
 
 
 def hub4_mixed() -> SignedGraph:
@@ -28,6 +28,60 @@ def graph_from_states(ell, pair_states, loop_bits) -> SignedGraph:
     edges += [neg(i, j) for (i, j), s in zip(pairs, pair_states) if s in (2, 3)]
     edges += [loop(v) for v, bit in enumerate(loop_bits, start=1) if bit]
     return SignedGraph(ell, edges)
+
+
+def _dependent(g: SignedGraph, triple) -> bool:
+    """Exact-rank route: the three normal vectors span at most a plane."""
+    es = [g.edge(k) for k in triple]
+    verts = sorted({v for e in es for v in (e.i, e.j)})
+    col = {v: c for c, v in enumerate(verts)}
+    rows = []
+    for e in es:
+        r = [0] * len(verts)
+        r[col[e.i]] = 1
+        if not e.is_loop:
+            r[col[e.j]] = -e.sign
+        rows.append(r)
+    return bigint_rank(rows) <= 2
+
+
+def _classify(g: SignedGraph, triple) -> str | None:
+    """Pattern route: local sign/loop shape of the triple, or None."""
+    es = [g.edge(k) for k in triple]
+    loops = [e for e in es if e.is_loop]
+    links = [e for e in es if not e.is_loop]
+    if not loops:
+        pairs = {e.pair for e in links}
+        verts = {v for e in links for v in e.pair}
+        if len(pairs) == 3 and len(verts) == 3:
+            if links[0].sign * links[1].sign * links[2].sign == 1:
+                return "k3"
+    elif len(loops) == 1 and len(links) == 2:
+        a, b = links
+        # two edges on one pair always carry opposite signs (duplicates are rejected)
+        if a.pair == b.pair and loops[0].i in a.pair:
+            return "d21"
+    elif len(loops) == 2 and len(links) == 1:
+        if {e.i for e in loops} == set(links[0].pair):
+            return "k22"
+    return None
+
+
+def triangles_by_triples(g: SignedGraph) -> list[Triangle]:
+    """Reference for `triangles()`: a dense exact rank and the pattern test on
+    every one of the C(n,3) label triples, which must agree triple by triple."""
+    out = []
+    for triple in itertools.combinations(range(1, g.n + 1), 3):
+        dep = _dependent(g, triple)
+        kind = _classify(g, triple)
+        if dep != (kind is not None):
+            raise InternalKindMismatch(
+                f"triple {triple}: rank route says dependent={dep}, "
+                f"pattern route says kind={kind}"
+            )
+        if dep:
+            out.append(Triangle(triple, kind))
+    return out
 
 
 @st.composite

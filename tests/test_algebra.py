@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from falk3 import (
     B2Present,
+    InternalKindMismatch,
     RankMismatch,
     SignedGraph,
     boundary,
@@ -17,6 +18,7 @@ from falk3 import (
     dim_a2_rank,
     dim_i3_2_formula,
     dim_span_f3,
+    enumerate_all,
     ideal3_rows,
     loop,
     neg,
@@ -30,7 +32,8 @@ from falk3 import (
     triangles,
     wedge,
 )
-from helpers import b2_graph, graphs_with_sigma
+from falk3 import algebra
+from helpers import b2_graph, graphs_with_sigma, signed_graphs, triangles_by_triples
 
 
 def test_boundary_of_a_triple():
@@ -98,6 +101,51 @@ def test_triangles_of_b2_flat_are_still_classified():
     tris = triangles(b2_graph())
     assert {t.kind for t in tris} == {"d21", "k22"}
     assert len(tris) == 4
+
+
+def test_triangles_match_per_triple_reference():
+    graphs = list(enumerate_all(3))
+    for ell in range(2, 6):
+        graphs += [complete_doubled(ell, loops) for loops in ((), (1,), (1, 2))]
+    for g in graphs:
+        assert triangles(g) == triangles_by_triples(g), g.edges
+
+
+@given(signed_graphs(max_ell=5, allow_b2=True))
+@settings(max_examples=60, deadline=None)
+def test_triangles_match_per_triple_reference_on_random_graphs(g):
+    assert triangles(g) == triangles_by_triples(g)
+
+
+def test_triangles_raise_when_the_pattern_route_drops_a_triangle(monkeypatch, looped_wedge):
+    real = algebra._pattern_triangles
+
+    def dropping(g):
+        found = real(g)
+        del found[(1, 4, 6)]
+        return found
+
+    monkeypatch.setattr(algebra, "_pattern_triangles", dropping)
+    with pytest.raises(InternalKindMismatch, match=r"triple \(1, 4, 6\): rank route says dependent=True"):
+        triangles(looped_wedge)
+
+
+def test_triangles_raise_when_the_pattern_route_adds_a_triangle(monkeypatch, looped_wedge):
+    real = algebra._pattern_triangles
+
+    def adding(g):
+        return {**real(g), (1, 2, 4): "k3"}
+
+    monkeypatch.setattr(algebra, "_pattern_triangles", adding)
+    with pytest.raises(InternalKindMismatch, match=r"triple \(1, 2, 4\): rank route says dependent=False"):
+        triangles(looped_wedge)
+
+
+def test_parallel_normals_raise():
+    # e_1 - e_2 and 2e_1 - 2e_2 span a line: their wedge is zero
+    normals = [((1, 1), (2, -1)), ((1, 1), (3, 1)), ((1, 2), (2, -2))]
+    with pytest.raises(InternalKindMismatch, match="labels 1 and 3 have parallel normals"):
+        algebra._rank_triples(normals)
 
 
 def test_row_counts(looped_wedge, doubled_triangle_loop):

@@ -15,6 +15,7 @@ from falk3 import (
     phi3_oracle,
     serialize,
 )
+from falk3 import cli
 from falk3.cli import main
 from falk3.errors import FalkError
 from helpers import signed_graphs
@@ -190,9 +191,30 @@ def test_verify_exhaustive_two_vertices(capsys):
     assert capsys.readouterr().out.strip() == "15/15 graphs agree"
 
 
+def test_verify_exhaustive_refuses_six_vertices(capsys):
+    # 4^C(6,2) * 2^6 = 2^36 graphs: refused before the first one is built
+    assert main(["verify", "--vertices", "6", "--exhaustive"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "4^C(6,2)*2^6 = 2^36 graphs" in captured.err
+
+
 def test_verify_sampled(capsys):
     assert main(["verify", "--vertices", "4", "--samples", "25", "--seed", "3"]) == 0
     assert capsys.readouterr().out.strip() == "25/25 graphs agree"
+
+
+def test_main_reuses_one_parser_without_carrying_state(capsys):
+    # the parser is built once per process; no call may see another's options
+    assert cli._parser() is cli._parser()
+    assert main(["verify", "--vertices", "3", "--samples", "4", "--seed", "1"]) == 0
+    with pytest.raises(SystemExit):
+        main(["verify", "--samples", "7"])
+    assert main(["verify", "--vertices", "3", "--seed", "1"]) == 0
+    assert main(["verify", "--vertices", "2", "--exhaustive"]) == 0
+    out = capsys.readouterr().out.split("\n")
+    assert out[:3] == ["4/4 graphs agree", "100/100 graphs agree", "15/15 graphs agree"]
 
 
 # ---------------------------------------------------------------- switch

@@ -181,6 +181,15 @@ def test_b2_witnesses_list_every_pattern():
     assert len(g.b2_witnesses()) == 3
 
 
+def test_b2_witnesses_are_a_fresh_list_per_call():
+    g = b2_graph()
+    got = g.b2_witnesses()
+    got.clear()
+    got.append((9, 9, 9, 9))
+    assert g.b2_witnesses() == [(1, 2, 3, 4)]
+    assert g.contains_b2()
+
+
 @given(graphs_with_sigma(max_ell=4))
 @settings(max_examples=25, deadline=None)
 def test_switching_preserves_the_matroid(gs):
