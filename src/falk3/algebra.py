@@ -7,6 +7,11 @@ triple is one of three local patterns (k3, d21, k22), which `triangles()`
 reads straight off the graph.  An exact check runs beside it on every call:
 the plane spanned by each of the C(n,2) label pairs, keyed by the primitive
 integer wedge of their normals, gives the dependent triples independently.
+
+The degree-3 side is one elimination per graph: the rows e_t ^ boundary(e_T)
+with t outside T (span F3) first, then the rows with t inside T, which are
+just the unit rows +-e_T (I3_2).  `ideal3_rows` keeps the full generating
+set as the reference definition.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from math import comb, gcd
 
 import numpy as np
 
+from . import rank
 from .errors import B2Present, InternalKindMismatch, RankMismatch
 from .graphs import Edge, SignedGraph
 # bigint_rank stays a module attribute: perfbench/spans.py wraps algebra.bigint_rank
@@ -192,23 +198,22 @@ def rows_to_matrix(rows) -> np.ndarray:
 # -- dimensions and the invariant -------------------------------------------
 
 
-def dim_a2(g: SignedGraph, check: bool = True, tris=None) -> int:
+def dim_a2(g: SignedGraph, tris=None) -> int:
     """Degree-2 algebra dimension C(n,2) - #triangles; needs a B2-free graph.
 
-    With check=True the count is verified against the exact rank of the
-    boundary rows; a discrepancy would mean some rank-2 flat carries more
-    than three hyperplanes.
+    The count is checked against the exact rank of the boundary rows; a
+    discrepancy would mean some rank-2 flat carries more than three
+    hyperplanes, and raises RankMismatch.
     """
     if g.contains_b2():
         raise B2Present("dim A^2 by triangle count needs a graph with no B2 sub-arrangement")
     tris = triangles(g) if tris is None else tris
     value = comb(g.n, 2) - len(tris)
-    if check:
-        ranked = dim_a2_rank(g, tris)
-        if ranked != value:
-            raise RankMismatch(
-                f"triangle count gives dim A^2 = {value} but boundary rows give {ranked}"
-            )
+    ranked = dim_a2_rank(g, tris)
+    if ranked != value:
+        raise RankMismatch(
+            f"triangle count gives dim A^2 = {value} but boundary rows give {ranked}"
+        )
     return value
 
 
@@ -219,14 +224,26 @@ def dim_a2_rank(g: SignedGraph, tris=None) -> int:
     return comb(g.n, 2) - exact_rank(rows)
 
 
+def _degree3_dims(g: SignedGraph, tris=None) -> tuple[int, int]:
+    """(dim span F3, dim I3_2): the span-F3 rows, then one unit row e_T per
+    triangle, in one exact elimination.
+
+    dim I3_2 is not dim span F3 + #triangles in general: on graphs with B2
+    some e_T already lie in span F3.
+    """
+    tris = triangles(g) if tris is None else tris
+    span, ideal = rank._eliminate([span_f3_rows(g, tris), [{t.labels: 1} for t in tris]], None)
+    return span, ideal
+
+
 def rank_i3_2(g: SignedGraph, tris=None) -> int:
     """Exact dimension of the degree-3 part of the ideal generated in degree 2."""
-    return exact_rank(ideal3_rows(g, tris))
+    return _degree3_dims(g, tris)[1]
 
 
 def dim_span_f3(g: SignedGraph, tris=None) -> int:
     """Exact dimension of the span of the non-degenerate rows."""
-    return exact_rank(span_f3_rows(g, tris))
+    return _degree3_dims(g, tris)[0]
 
 
 def phi3_from_dims(n: int, dim_a2_value: int, dim_i3_2: int) -> int:

@@ -9,6 +9,9 @@ stored, scaled to leading coefficient 1.  Over the rationals the scaling is
 exact in `Fraction`; over Z/p it is a modular inverse.  The rank is the
 number of pivots.
 
+Rows come in groups sharing one set of pivots, so one pass gives the rank
+of the rows up to the end of each group.
+
 bigint_rank is a separate dense fraction-free elimination; it is the
 independent reference the tests use.
 """
@@ -62,43 +65,49 @@ def bigint_rank(rows) -> int:
     return rank
 
 
-def _eliminate(rows, p: int | None) -> int:
-    """Pivot count of the sparse rows over the rationals (p None) or over Z/p."""
+def _eliminate(groups, p: int | None) -> list[int]:
+    """Pivot counts of sparse row groups over the rationals (p None) or over Z/p.
+
+    Entry k is the rank of the rows of groups 0..k together.
+    """
     pivots = {}
-    for src in rows:
-        row = {k: v % p if p else v for k, v in src.items()}
-        row = {k: v for k, v in row.items() if v}
-        while row:
-            lead = min(row)
-            f = row[lead]
-            pivot = pivots.get(lead)
-            if pivot is None:
-                if p:
-                    inv = pow(f, -1, p)
-                    pivots[lead] = {k: v * inv % p for k, v in row.items()}
-                else:
-                    inv = f if abs(f) == 1 else Fraction(1, f)  # 1/f, an int for +-1
-                    pivots[lead] = {k: v * inv for k, v in row.items()}
-                break
-            for k, v in pivot.items():
-                w = row.get(k, 0) - f * v
-                if p:
-                    w %= p
-                if w:
-                    row[k] = w
-                else:
-                    del row[k]
-    return len(pivots)
+    counts = []
+    for rows in groups:
+        for src in rows:
+            row = {k: v % p if p else v for k, v in src.items()}
+            row = {k: v for k, v in row.items() if v}
+            while row:
+                lead = min(row)
+                f = row[lead]
+                pivot = pivots.get(lead)
+                if pivot is None:
+                    if p:
+                        inv = pow(f, -1, p)
+                        pivots[lead] = {k: v * inv % p for k, v in row.items()}
+                    else:
+                        inv = f if abs(f) == 1 else Fraction(1, f)  # 1/f, an int for +-1
+                        pivots[lead] = {k: v * inv for k, v in row.items()}
+                    break
+                for k, v in pivot.items():
+                    w = row.get(k, 0) - f * v
+                    if p:
+                        w %= p
+                    if w:
+                        row[k] = w
+                    else:
+                        del row[k]
+        counts.append(len(pivots))
+    return counts
 
 
 def exact_rank(m) -> int:
     """Rank over the rationals of a dense integer matrix or a list of sparse dict rows."""
-    return _eliminate(_sparse_rows(m), None)
+    return _eliminate([_sparse_rows(m)], None)[-1]
 
 
 def modp_rank(m, p: int = SCREEN_PRIME) -> int:
     """Rank over Z/p for a prime p; never exceeds the rank over the rationals."""
-    return _eliminate(_sparse_rows(m), p)
+    return _eliminate([_sparse_rows(m)], p)[-1]
 
 
 def warmup() -> None:

@@ -39,7 +39,7 @@ def build_report(g: SignedGraph) -> FalkReport:
         a2 = algebra.dim_a2(g, tris=tris)
         cen = census(g)
         formula = phi3_formula(cen)
-    i32 = algebra.rank_i3_2(g, tris)
+    span, i32 = algebra._degree3_dims(g, tris)
     oracle = algebra.phi3_from_dims(g.n, a2, i32)
     return FalkReport(
         ell=g.ell,
@@ -48,7 +48,7 @@ def build_report(g: SignedGraph) -> FalkReport:
         triangle_count=len(tris),
         dim_A2=a2,
         dim_I3_2=i32,
-        dim_span_F3=algebra.dim_span_f3(g, tris),
+        dim_span_F3=span,
         phi3_oracle=oracle,
         phi3_formula=formula,
         census=cen,

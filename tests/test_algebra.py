@@ -19,6 +19,7 @@ from falk3 import (
     dim_i3_2_formula,
     dim_span_f3,
     enumerate_all,
+    exact_rank,
     ideal3_rows,
     loop,
     neg,
@@ -250,6 +251,32 @@ def test_oracle_is_switching_invariant(gs):
     assert phi3_oracle(g, dim_a2_value=dim_a2_rank(g)) == phi3_oracle(
         h, dim_a2_value=dim_a2_rank(h)
     )
+
+
+def _assert_one_pass_matches_two_eliminations(g):
+    assert rank_i3_2(g) == exact_rank(ideal3_rows(g))
+    assert dim_span_f3(g) == exact_rank(span_f3_rows(g))
+
+
+@given(signed_graphs(max_ell=5, allow_b2=True))
+@settings(max_examples=60, deadline=None)
+def test_one_pass_matches_two_eliminations_on_random_graphs(g):
+    _assert_one_pass_matches_two_eliminations(g)
+
+
+@pytest.mark.parametrize("loops", [(), (1,), (1, 2)])
+@pytest.mark.parametrize("ell", [3, 4, 5])
+def test_one_pass_matches_two_eliminations_on_doubled(ell, loops):
+    _assert_one_pass_matches_two_eliminations(complete_doubled(ell, loops=loops))
+
+
+def test_ideal_dim_is_not_span_plus_triangles_with_b2():
+    # some unit rows e_T already lie in span F3, so the pass cannot be an addition
+    g = complete_doubled(4, loops=(1, 2))
+    assert g.contains_b2()
+    assert len(triangles(g)) == 24
+    assert dim_span_f3(g) == 212
+    assert rank_i3_2(g) == exact_rank(ideal3_rows(g)) == 232 != 212 + 24
 
 
 def test_direct_sum_identity(looped_wedge, doubled_triangle_loop, hub4):

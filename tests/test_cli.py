@@ -15,10 +15,10 @@ from falk3 import (
     phi3_oracle,
     serialize,
 )
-from falk3 import cli
+from falk3 import algebra, build_report, cli, rank
 from falk3.cli import main
 from falk3.errors import FalkError
-from helpers import signed_graphs
+from helpers import hub4_mixed, signed_graphs
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -191,18 +191,57 @@ def test_verify_exhaustive_two_vertices(capsys):
     assert capsys.readouterr().out.strip() == "15/15 graphs agree"
 
 
-def test_verify_exhaustive_refuses_six_vertices(capsys):
-    # 4^C(6,2) * 2^6 = 2^36 graphs: refused before the first one is built
-    assert main(["verify", "--vertices", "6", "--exhaustive"]) == 1
+@pytest.mark.parametrize("ell", [5, 6])
+def test_verify_exhaustive_refuses_five_or_more_vertices(monkeypatch, capsys, ell):
+    # 4^C(ell,2) * 2^ell = 2^(ell^2) graphs: refused before the first one is built,
+    # so a missing guard fails here at once instead of running for hours
+    def enumerate_all(*args, **kwargs):
+        raise RuntimeError(f"--exhaustive on {ell} vertices started enumerating")
+
+    monkeypatch.setattr(cli, "enumerate_all", enumerate_all)
+    assert main(["verify", "--vertices", str(ell), "--exhaustive"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
-    assert "4^C(6,2)*2^6 = 2^36 graphs" in captured.err
+    assert f"4^C({ell},2)*2^{ell} = 2^{ell * ell} graphs" in captured.err
 
 
 def test_verify_sampled(capsys):
     assert main(["verify", "--vertices", "4", "--samples", "25", "--seed", "3"]) == 0
     assert capsys.readouterr().out.strip() == "25/25 graphs agree"
+
+
+def test_verify_goes_through_build_report_only(monkeypatch, capsys):
+    # one pass per graph, shared with compute; never the oracle on its own
+    reports = []
+
+    def counting_build_report(g):
+        reports.append(g)
+        return build_report(g)
+
+    def phi3_oracle(*args, **kwargs):
+        raise RuntimeError("verify called algebra.phi3_oracle")
+
+    monkeypatch.setattr(cli, "build_report", counting_build_report)
+    monkeypatch.setattr(algebra, "phi3_oracle", phi3_oracle)
+    assert main(["verify", "--vertices", "4", "--samples", "12", "--seed", "3"]) == 0
+    assert capsys.readouterr().out.strip() == "12/12 graphs agree"
+    assert len(reports) == 12
+
+
+def test_build_report_runs_two_eliminations(monkeypatch):
+    # the degree-2 check, then one degree-3 pass for both dim span F3 and dim I3_2
+    calls = []
+    eliminate = rank._eliminate
+
+    def counting_eliminate(groups, p):
+        calls.append(p)
+        return eliminate(groups, p)
+
+    monkeypatch.setattr(rank, "_eliminate", counting_eliminate)
+    report = build_report(hub4_mixed())
+    assert (report.dim_span_F3, report.dim_I3_2, report.agreement) == (83, 95, True)
+    assert calls == [None, None]
 
 
 def test_main_reuses_one_parser_without_carrying_state(capsys):
