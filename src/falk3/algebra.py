@@ -21,8 +21,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb, gcd
 
-import numpy as np
-
 from . import rank
 from .errors import B2Present, InternalKindMismatch, RankMismatch
 from .graphs import Edge, SignedGraph
@@ -186,6 +184,8 @@ def rows_to_matrix(rows) -> np.ndarray:
 
     The pipeline ranks the sparse rows directly; this is for inspection and tests.
     """
+    import numpy as np
+
     cols = sorted({mono for row in rows for mono in row})
     index = {mono: c for c, mono in enumerate(cols)}
     a = np.zeros((len(rows), len(cols)), dtype=np.int64)

@@ -8,8 +8,6 @@ by ascending vertex.
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .graphs import SignedGraph, loop, neg, pos
 
 
@@ -52,7 +50,10 @@ def random_no_b2(cfg: GenConfig, rng=None) -> SignedGraph:
     pattern is repaired by deleting one uniformly chosen loop of the first
     remaining witness until no witness is left.
     """
-    rng = np.random.default_rng(cfg.seed) if rng is None else rng
+    if rng is None:
+        import numpy as np
+
+        rng = np.random.default_rng(cfg.seed)
     pos_pairs = []
     neg_pairs = []
     for i, j in itertools.combinations(range(1, cfg.ell + 1), 2):
@@ -72,6 +73,8 @@ def random_no_b2(cfg: GenConfig, rng=None) -> SignedGraph:
 
 def sample_stream(cfg: GenConfig):
     """Yield cfg.samples graphs from a single PCG64 stream seeded with cfg.seed."""
+    import numpy as np
+
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.samples):
         yield random_no_b2(cfg, rng)

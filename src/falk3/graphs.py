@@ -14,8 +14,6 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .errors import (
     DuplicateEdge,
     LabelOutOfRange,
@@ -127,6 +125,8 @@ class SignedGraph:
 
     def normal_vector(self, label: int) -> np.ndarray:
         """Integer normal of hyperplane `label`: e_i - e_j, e_i + e_j or e_i."""
+        import numpy as np
+
         e = self.edge(label)
         v = np.zeros(self.ell, dtype=np.int64)
         v[e.i - 1] = 1
@@ -136,6 +136,8 @@ class SignedGraph:
 
     def normal_matrix(self) -> np.ndarray:
         """(n, ell) int64 matrix whose row k-1 is normal_vector(k)."""
+        import numpy as np
+
         m = np.zeros((self.n, self.ell), dtype=np.int64)
         for label in range(1, self.n + 1):
             m[label - 1] = self.normal_vector(label)

@@ -18,8 +18,6 @@ independent reference the tests use.
 
 from fractions import Fraction
 
-import numpy as np
-
 # Default modulus of modp_rank; a prime, so Z/p is a field.
 SCREEN_PRIME = 2_147_483_647
 
@@ -28,6 +26,8 @@ def _sparse_rows(m) -> list[dict]:
     """Rows of `m` as dicts: a list of dict rows as it is, a dense 2-d matrix row by row."""
     if isinstance(m, list) and all(isinstance(row, dict) for row in m):
         return m
+    import numpy as np
+
     a = np.asarray(m)
     if a.size == 0:
         return []

@@ -38,6 +38,7 @@ from falk3 import (
     span_f3_rows,
     triangles,
 )
+from falk3 import algebra
 from helpers import hub4_mixed
 
 
@@ -60,7 +61,7 @@ def _record(g: SignedGraph) -> Record:
     tris = triangles(g)
     c = census(g)
     a2 = dim_a2(g, tris=tris)
-    i32 = rank_i3_2(g, tris)
+    span, i32 = algebra._degree3_dims(g, tris)
     return Record(
         g=g,
         n_triangles=len(tris),
@@ -68,7 +69,7 @@ def _record(g: SignedGraph) -> Record:
         phi3_oracle=phi3_from_dims(g.n, a2, i32),
         dim_i3_2=i32,
         dim_i3_2_formula=dim_i3_2_formula(g, c),
-        dim_span_f3=dim_span_f3(g, tris),
+        dim_span_f3=span,
     )
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,7 +23,8 @@ from falk3.cli import main
 from falk3.errors import FalkError
 from helpers import hub4_mixed, signed_graphs
 
-SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLES = ROOT / "samples"
 
 
 # ---------------------------------------------------------------- parsing
@@ -282,3 +286,50 @@ def test_switch_preserves_oracle_on_samples(capsys):
 def test_switch_bad_sigma(capsys):
     assert main(["switch", str(SAMPLES / "looped_wedge.graph"), "--sigma", "+,-"]) == 1
     assert "sigma" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- cold start
+
+# Run in a fresh interpreter: numpy is loaded only by the sampler and the
+# dense helpers, never by importing the package or by the single-graph commands.
+_COLD_START = """
+import contextlib, io, sys
+import falk3, falk3.cli
+
+if "numpy" in sys.modules:
+    raise SystemExit("numpy was imported by import falk3.cli")
+for args in (
+    ["compute", "--json", "samples/hub4_mixed.graph"],
+    ["census", "samples/looped_wedge.graph"],
+    ["switch", "--sigma=-,+,+", "samples/looped_wedge.graph"],
+    ["verify", "--vertices", "2", "--exhaustive"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = falk3.cli.main(args)
+    if code != 0:
+        raise SystemExit(f"{args} exited {code}")
+    if "numpy" in sys.modules:
+        raise SystemExit(f"numpy was imported by {args}")
+
+# the sampler still needs numpy, and gets it
+code = falk3.cli.main(["verify", "--vertices", "4", "--samples", "3"])
+if code != 0 or "numpy" not in sys.modules:
+    raise SystemExit(f"sampled verify exited {code} without numpy loaded")
+"""
+
+
+def test_single_graph_commands_never_import_numpy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    if proc.returncode != 0 or proc.stdout != "3/3 graphs agree\n":
+        raise AssertionError(
+            f"exit {proc.returncode}\nstdout:\n{proc.stdout}\nstderr:\n{proc.stderr}"
+        )

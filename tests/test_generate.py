@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from falk3 import (
@@ -21,6 +23,40 @@ def test_stream_is_deterministic():
     assert first == second
     assert len(first) == 20
     assert len(set(first)) > 1  # the stream actually varies
+
+
+# The draw order is a contract: these are the sampler's outputs, by value.
+_SEED_123_HEAD = [
+    "vertices 5\n+ 1 3\n+ 1 4\n- 1 2\n- 1 3\n- 1 5\n- 2 4\n- 2 5\n- 3 5\no 1\no 2\no 5\n",
+    "vertices 5\n+ 1 2\n+ 2 4\n- 1 5\n- 2 5\n- 3 4\n- 3 5\n- 4 5\no 2\no 3\n",
+    "vertices 5\n+ 1 2\n+ 1 3\n+ 2 3\n+ 2 4\n+ 3 4\n+ 3 5\n- 1 2\n- 3 4\no 5\n",
+]
+_SEED_123_SHA256 = "8fd57c5fe3f1017a099a8b3095b4880b780a5a68db378b23c87bd7131386450a"
+
+
+def test_stream_draw_order_is_pinned():
+    cfg = GenConfig(ell=5, seed=123, samples=20)
+    texts = [serialize(g) for g in sample_stream(cfg)]
+    assert texts[:3] == _SEED_123_HEAD
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == _SEED_123_SHA256
+    assert serialize(random_no_b2(cfg)) == texts[0]
+
+
+def test_forced_repair_stream_is_pinned():
+    # every draw builds the doubled pair with both loops; one integer draw per
+    # graph picks the loop the repair deletes
+    def forced(seed, samples=1):
+        return GenConfig(
+            ell=2, edge_prob_pos=1.0, edge_prob_neg=1.0, loop_prob=1.0, seed=seed, samples=samples
+        )
+
+    def text(kept):
+        return f"vertices 2\n+ 1 2\n- 1 2\no {kept}\n"
+
+    by_seed = [serialize(random_no_b2(forced(s))) for s in range(8)]
+    assert by_seed == [text(v) for v in (2, 2, 2, 2, 2, 1, 2, 2)]
+    stream = [serialize(g) for g in sample_stream(forced(0, samples=8))]
+    assert stream == [text(v) for v in (2, 1, 1, 2, 2, 1, 1, 2)]
 
 
 def test_different_seeds_differ():

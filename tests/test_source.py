@@ -6,17 +6,50 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "falk3"
 
 
-def test_no_assert_statements_in_the_package():
-    # python -O strips assert, so no check in the package may rely on one;
-    # this test fails by raise for the same reason
+def _modules():
     sources = sorted(SRC.glob("*.py"))
     if not sources:
         raise FileNotFoundError(f"no package sources under {SRC}")
+    return [(path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))) for path in sources]
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert, so no check in the package may rely on one;
+    # this test fails by raise for the same reason
     found = [
         f"{path.name}:{node.lineno}"
-        for path in sources
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        for path, tree in _modules()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
     if found:
         raise AssertionError(f"assert statements in the package: {', '.join(found)}")
+
+
+def _import_time_nodes(node):
+    """Statements that run when the module is imported: all but function bodies."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _import_time_nodes(child)
+
+
+def _imports_numpy(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.level == 0 and (node.module or "").split(".")[0] == "numpy"
+    return False
+
+
+def test_numpy_is_imported_only_inside_functions():
+    # importing the package must not load numpy: only the sampler and the
+    # dense helpers need it, and they import it where they use it
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in _modules()
+        for node in _import_time_nodes(tree)
+        if _imports_numpy(node)
+    ]
+    if found:
+        raise AssertionError(f"numpy imported at module import time: {', '.join(found)}")
