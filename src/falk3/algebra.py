@@ -5,13 +5,18 @@ vectors are plain dicts mapping tuple -> integer coefficient.  A "triangle"
 is a dependent label triple, i.e. three hyperplanes of rank 2.  Every such
 triple is one of three local patterns (k3, d21, k22), which `triangles()`
 reads straight off the graph.  An exact check runs beside it on every call:
-the plane spanned by each of the C(n,2) label pairs, keyed by the primitive
-integer wedge of their normals, gives the dependent triples independently.
+the plane spanned by each label pair, keyed by its support and the
+primitive integer wedge of the two normals, gives the dependent triples
+independently.  Pairs whose normals have disjoint supports on more than 2
+vertices are skipped; that is exact because every normal has at most 2
+nonzero entries (see `_rank_triples`).
 
 The degree-3 side is one elimination per graph: the rows e_t ^ boundary(e_T)
 with t outside T (span F3) first, then the rows with t inside T, which are
-just the unit rows +-e_T (I3_2).  `ideal3_rows` keeps the full generating
-set as the reference definition.
+just the unit rows +-e_T (I3_2).  The span rows are built directly from
+their four sign patterns and streamed into the elimination, so they are
+never all alive at once.  `ideal3_rows`, `wedge` and `boundary` keep the
+full generating set as the reference definition the tests rank against.
 """
 
 from __future__ import annotations
@@ -98,28 +103,51 @@ def _normal(e: Edge) -> tuple[tuple[int, int], ...]:
 def _rank_triples(normals) -> set[tuple[int, int, int]]:
     """Rank route: the label triples (1-based) whose normals span at most a plane.
 
-    The wedge u ^ v of two integer normals, made primitive and given a
-    positive first entry, is a canonical key for the plane they span.
-    Labels are grouped by the planes of their pairs; since no two normals
-    are parallel, a triple has rank <= 2 exactly when all three lie in one
-    group, so the dependent triples are the 3-subsets of each group.
+    The plane two independent integer normals span is keyed by its support
+    (the vertices where u or v is nonzero).  On 2 vertices that support
+    alone is the key, since the plane is the whole coordinate plane; on 3
+    vertices the key adds the 2x2 minors of u and v (their wedge), made
+    primitive with a positive first nonzero entry.  Labels are grouped by
+    the planes of their pairs; since no two normals are parallel, a triple
+    has rank <= 2 exactly when all three lie in one group, so the dependent
+    triples are the 3-subsets of each group.
+
+    Precondition: every normal has at most 2 nonzero entries, as graph
+    normals do; a wider one raises InternalKindMismatch.  It makes this
+    skip exact: a pair with disjoint supports covering more than 2 vertices
+    is never keyed, because any alpha u + beta v with alpha, beta != 0 has
+    that whole union as support, so their plane holds no third normal
+    except one parallel to u or v, which the zero wedge of that overlapping
+    pair reports.  Two loops (supports {i} and {j}) cover only 2 vertices
+    and are kept: they are the k22 case.
     """
+    vecs = [{x: c for x, c in normal if c} for normal in normals]
+    for k, u in enumerate(vecs, start=1):
+        if len(u) > 2:
+            raise InternalKindMismatch(
+                f"label {k}: normal has {len(u)} nonzero entries; the rank route needs at most 2"
+            )
     planes: dict[tuple, set[int]] = {}
-    for (ku, u), (kv, v) in itertools.combinations(enumerate(normals, start=1), 2):
-        w = {}
-        for x, ux in u:
-            for y, vy in v:
-                if x < y:
-                    w[(x, y)] = w.get((x, y), 0) + ux * vy
-                elif y < x:
-                    w[(y, x)] = w.get((y, x), 0) - ux * vy
-        entries = sorted(item for item in w.items() if item[1])
-        if not entries:
+    for (ku, u), (kv, v) in itertools.combinations(enumerate(vecs, start=1), 2):
+        if len(u) + len(v) > 2 and u.keys().isdisjoint(v):
+            continue
+        xs = sorted(u.keys() | v.keys())
+        if len(xs) == 3:
+            # different supports, so never parallel: some minor is nonzero
+            x, y, z = xs
+            ux, uy, uz = u.get(x, 0), u.get(y, 0), u.get(z, 0)
+            vx, vy, vz = v.get(x, 0), v.get(y, 0), v.get(z, 0)
+            mxy, mxz, myz = ux * vy - uy * vx, ux * vz - uz * vx, uy * vz - uz * vy
+            d = gcd(mxy, mxz, myz)
+            if (mxy or mxz or myz) < 0:  # the first nonzero minor
+                d = -d
+            key = (x, y, z, mxy // d, mxz // d, myz // d)
+        elif len(xs) == 2 and (
+            u.get(xs[0], 0) * v.get(xs[1], 0) != u.get(xs[1], 0) * v.get(xs[0], 0)
+        ):
+            key = tuple(xs)  # two independent vectors on 2 coordinates span that coordinate plane
+        else:
             raise InternalKindMismatch(f"labels {ku} and {kv} have parallel normals")
-        d = gcd(*(c for _, c in entries))
-        if entries[0][1] < 0:
-            d = -d
-        key = tuple((xy, c // d) for xy, c in entries)
         planes.setdefault(key, set()).update((ku, kv))
     return {
         triple
@@ -167,16 +195,30 @@ def ideal3_rows(g: SignedGraph, tris=None) -> list[dict]:
     return rows
 
 
+def _span_f3_row_stream(n: int, tris):
+    """Yield e_t ^ boundary(e_abc) for each triangle abc and each label t outside it.
+
+    boundary(e_abc) = e_bc - e_ac + e_ab, and inserting t into each monomial
+    costs the sign (-1)^(labels before t), so each row is one of four fixed
+    three-entry patterns, by where t falls against a < b < c.  Rows come in
+    the order of span_f3_rows: triangles as given, t ascending.
+    """
+    for tri in tris:
+        a, b, c = tri.labels
+        for t in range(1, a):
+            yield {(t, b, c): 1, (t, a, c): -1, (t, a, b): 1}
+        for t in range(a + 1, b):
+            yield {(t, b, c): 1, (a, t, c): 1, (a, t, b): -1}
+        for t in range(b + 1, c):
+            yield {(b, t, c): -1, (a, t, c): 1, (a, b, t): 1}
+        for t in range(c + 1, n + 1):
+            yield {(b, c, t): 1, (a, c, t): -1, (a, b, t): 1}
+
+
 def span_f3_rows(g: SignedGraph, tris=None) -> list[dict]:
     """Rows e_t ^ boundary(e_T) with t outside the triangle T."""
     tris = triangles(g) if tris is None else tris
-    rows = []
-    for tri in tris:
-        b = boundary(tri.labels)
-        for t in range(1, g.n + 1):
-            if t not in tri.labels:
-                rows.append(wedge(t, b))
-    return rows
+    return list(_span_f3_row_stream(g.n, tris))
 
 
 def rows_to_matrix(rows) -> np.ndarray:
@@ -232,7 +274,10 @@ def _degree3_dims(g: SignedGraph, tris=None) -> tuple[int, int]:
     some e_T already lie in span F3.
     """
     tris = triangles(g) if tris is None else tris
-    span, ideal = rank._eliminate([span_f3_rows(g, tris), [{t.labels: 1} for t in tris]], None)
+    # streamed: each row is built when the elimination reads it, never all at once
+    span, ideal = rank._eliminate(
+        [_span_f3_row_stream(g.n, tris), ({t.labels: 1} for t in tris)], None
+    )
     return span, ideal
 
 

@@ -7,6 +7,7 @@ doubled pair always carries one edge of each sign.
 """
 
 import itertools
+import math
 from dataclasses import dataclass, fields
 
 from .errors import B2Present
@@ -51,55 +52,72 @@ class Census:
         return self.k3 + self.d21 + self.k22
 
 
+def _balanced(*sign_sets) -> int:
+    """Number of sign choices, one from each set, whose product is +1.
+
+    A set holding both signs pairs every choice with its negation, so then
+    exactly half of all choices are balanced.
+    """
+    if any(len(signs) == 2 for signs in sign_sets):
+        return math.prod(len(signs) for signs in sign_sets) // 2
+    return int(math.prod(signs[0] for signs in sign_sets) == 1)
+
+
 def census(g: SignedGraph) -> Census:
-    """Count the eight classes by local enumeration over vertex tuples."""
+    """Count the eight classes by local enumeration over vertex tuples.
+
+    One pair -> signs table and one loop table are read off the graph's
+    label maps; every count comes from those two tables.
+    """
     if g.contains_b2():
         raise B2Present("the census is defined for graphs with no B2 sub-arrangement")
+
+    signs: dict[tuple[int, int], tuple[int, ...]] = {}
+    for i, j, s in g._sign_label:
+        signs[(i, j)] = signs.get((i, j), ()) + (s,)
+    looped = set(g._loop_label)
 
     verts = range(1, g.ell + 1)
     k3 = k4 = d3 = d21 = k22 = k33 = g_circ = d31 = 0
 
     for a, b, c in itertools.combinations(verts, 3):
-        sab, sbc, sac = g.signs_on(a, b), g.signs_on(b, c), g.signs_on(a, c)
-        all_looped = g.has_loop(a) and g.has_loop(b) and g.has_loop(c)
-        for x, y, z in itertools.product(sab, sbc, sac):
-            if x * y * z == 1:
-                k3 += 1
-                if all_looped:
-                    k33 += 1
+        sab, sbc, sac = signs.get((a, b)), signs.get((b, c)), signs.get((a, c))
+        if not (sab and sbc and sac):
+            continue
+        balanced = _balanced(sab, sbc, sac)
+        k3 += balanced
+        nloops = (a in looped) + (b in looped) + (c in looped)
+        if nloops == 3:
+            k33 += balanced
         if len(sab) == len(sbc) == len(sac) == 2:
-            nloops = sum(g.has_loop(v) for v in (a, b, c))
             if nloops == 0:
                 d3 += 1
             d31 += nloops
 
-    for i, j in itertools.combinations(verts, 2):
-        signs = g.signs_on(i, j)
-        if len(signs) == 2:
-            d21 += g.has_loop(i) + g.has_loop(j)
-        if g.has_loop(i) and g.has_loop(j):
-            k22 += len(signs)
+    for (i, j), s in signs.items():
+        ends = (i in looped) + (j in looped)
+        if len(s) == 2:
+            d21 += ends
+        if ends == 2:
+            k22 += len(s)
 
-    for apex in verts:
-        if not g.has_loop(apex):
-            continue
-        doubled = [u for u in verts if u != apex and len(g.signs_on(u, apex)) == 2]
+    for apex in looped:
+        doubled = [u for u in verts if len(signs.get((min(u, apex), max(u, apex)), ())) == 2]
         for a, c in itertools.combinations(doubled, 2):
-            if len(g.signs_on(a, c)) == 1:
+            if len(signs.get((a, c), ())) == 1:
                 g_circ += 1
 
     for quad in itertools.combinations(verts, 4):
         pairs = list(itertools.combinations(quad, 2))
-        choices = [g.signs_on(i, j) for i, j in pairs]
-        if any(not ch for ch in choices):
+        choices = [signs.get(pair) for pair in pairs]
+        if not all(choices):
             continue
-        triples = list(itertools.combinations(quad, 3))
-        for combo in itertools.product(*choices):
-            sign = dict(zip(pairs, combo))
-            if all(
-                sign[(x, y)] * sign[(y, z)] * sign[(x, z)] == 1
-                for x, y, z in triples
-            ):
+        # a sign choice on K4 is balanced exactly when it is a switching
+        # sigma_i sigma_j of the all-positive one; fixing sigma on the first
+        # vertex, each balanced choice comes from one sigma on the other three
+        for rest in itertools.product((1, -1), repeat=3):
+            sigma = dict(zip(quad, (1, *rest)))
+            if all(sigma[i] * sigma[j] in ch for (i, j), ch in zip(pairs, choices)):
                 k4 += 1
 
     return Census(k3, k4, d3, d21, k22, k33, g_circ, d31)

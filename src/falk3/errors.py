@@ -5,15 +5,29 @@ class FalkError(Exception):
     """Base class for every error this package raises deliberately."""
 
 
-class DuplicateEdge(FalkError):
+class EdgeError(FalkError):
+    """An entry of an edge list is invalid.
+
+    `label` is the 1-based position of the entry, or None when the fault is
+    not tied to one edge; `detail` is the message without that position, so
+    a caller that knows where the edge came from can restate it.
+    """
+
+    def __init__(self, detail: str, label: int | None = None):
+        super().__init__(detail if label is None else f"edge {label}: {detail}")
+        self.detail = detail
+        self.label = label
+
+
+class DuplicateEdge(EdgeError):
     """The same signed edge (or loop) appears twice in one edge list."""
 
 
-class SelfPairEdge(FalkError):
+class SelfPairEdge(EdgeError):
     """A positive or negative edge joins a vertex to itself."""
 
 
-class VertexOutOfRange(FalkError):
+class VertexOutOfRange(EdgeError):
     """An edge references a vertex outside 1..ell."""
 
 

@@ -11,7 +11,7 @@ The vertices line comes first; edge lines follow in hyperplane label order
 1..n.  Serialization writes exactly this shape, so parse(serialize(g)) == g.
 """
 
-from .errors import DuplicateEdge, FalkError, ParseError, SelfPairEdge, VertexOutOfRange
+from .errors import EdgeError, FalkError, ParseError
 from .graphs import SignedGraph, loop, neg, pos
 
 
@@ -26,7 +26,7 @@ def parse_graph(text: str) -> SignedGraph:
     """Parse the flat format; errors carry the 1-based line number."""
     ell = None
     edges = []
-    seen = set()
+    line_of = []  # line number of each edge, by label - 1
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -49,17 +49,15 @@ def parse_graph(text: str) -> SignedGraph:
             e = loop(_int(tokens[1], line_no, "vertex"))
         else:
             raise ParseError(line_no, f"unrecognized directive {line!r}")
-        if not e.is_loop and e.i == e.j:
-            raise SelfPairEdge(f"line {line_no}: signed edge from vertex {e.i} to itself")
-        if not (1 <= e.i <= ell and 1 <= e.j <= ell):
-            raise VertexOutOfRange(f"line {line_no}: endpoints {e.pair} outside 1..{ell}")
-        if e in seen:
-            raise DuplicateEdge(f"line {line_no}: duplicate {e.kind!r} edge at {e.pair}")
-        seen.add(e)
         edges.append(e)
+        line_of.append(line_no)
     if ell is None:
         raise ParseError(1, "missing 'vertices <count>' line")
-    return SignedGraph(ell, edges)
+    try:
+        return SignedGraph(ell, edges)
+    except EdgeError as exc:
+        # SignedGraph checks the edges; restate its fault by file line, not label
+        raise type(exc)(f"line {line_of[exc.label - 1]}: {exc.detail}") from None
 
 
 def serialize(g: SignedGraph) -> str:

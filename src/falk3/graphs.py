@@ -72,16 +72,16 @@ class SignedGraph:
             if e.kind not in (POS, NEG, LOOP):
                 raise ValueError(f"edge {label}: unknown kind {e.kind!r}")
             if not (1 <= e.i <= ell and 1 <= e.j <= ell):
-                raise VertexOutOfRange(f"edge {label}: endpoints {e.pair} outside 1..{ell}")
+                raise VertexOutOfRange(f"endpoints {e.pair} outside 1..{ell}", label)
             if e.is_loop:
                 e = Edge(LOOP, e.i, e.i)
             else:
                 if e.i == e.j:
-                    raise SelfPairEdge(f"edge {label}: signed edge from vertex {e.i} to itself")
+                    raise SelfPairEdge(f"signed edge from vertex {e.i} to itself", label)
                 if e.i > e.j:
                     e = Edge(e.kind, e.j, e.i)
             if e in seen:
-                raise DuplicateEdge(f"edge {label}: duplicate of an earlier {e.kind!r} edge at {e.pair}")
+                raise DuplicateEdge(f"duplicate {e.kind!r} edge at {e.pair}", label)
             seen.add(e)
             normalized.append(e)
 

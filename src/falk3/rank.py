@@ -10,7 +10,8 @@ exact in `Fraction`; over Z/p it is a modular inverse.  The rank is the
 number of pivots.
 
 Rows come in groups sharing one set of pivots, so one pass gives the rank
-of the rows up to the end of each group.
+of the rows up to the end of each group.  A group is read once, so it may be
+a generator: rows can be built while they are eliminated.
 
 bigint_rank is a separate dense fraction-free elimination; it is the
 independent reference the tests use.
@@ -74,18 +75,20 @@ def _eliminate(groups, p: int | None) -> list[int]:
     counts = []
     for rows in groups:
         for src in rows:
-            row = {k: v % p if p else v for k, v in src.items()}
-            row = {k: v for k, v in row.items() if v}
+            # a fresh copy without zeros: the caller's rows are never mutated
+            row = {k: w for k, v in src.items() if (w := v % p if p else v)}
             while row:
                 lead = min(row)
                 f = row[lead]
                 pivot = pivots.get(lead)
                 if pivot is None:
-                    if p:
+                    if f == 1:
+                        pivots[lead] = row
+                    elif p:
                         inv = pow(f, -1, p)
                         pivots[lead] = {k: v * inv % p for k, v in row.items()}
                     else:
-                        inv = f if abs(f) == 1 else Fraction(1, f)  # 1/f, an int for +-1
+                        inv = -1 if f == -1 else Fraction(1, f)  # 1/f, an int for -1
                         pivots[lead] = {k: v * inv for k, v in row.items()}
                     break
                 for k, v in pivot.items():

@@ -149,6 +149,49 @@ def test_parallel_normals_raise():
         algebra._rank_triples(normals)
 
 
+def test_rank_route_keeps_the_pair_of_two_loops():
+    # loops at 1 and 2 have disjoint supports covering 2 vertices: not skipped
+    normals = [((1, 1),), ((2, 1),), ((1, 1), (2, -1))]
+    assert algebra._rank_triples(normals) == {(1, 2, 3)}
+
+
+def test_rank_route_skips_disjoint_pairs_on_three_vertices():
+    # a loop and an edge off its vertex span a plane that holds no third normal
+    normals = [((1, 1),), ((2, 1), (3, -1)), ((2, 1), (3, 1)), ((2, 1),)]
+    assert algebra._rank_triples(normals) == {(2, 3, 4)}
+
+
+def test_rank_route_refuses_a_normal_with_three_entries():
+    normals = [((1, 1), (2, -1)), ((1, 1), (2, 1), (3, 1))]
+    with pytest.raises(InternalKindMismatch, match="label 2: normal has 3 nonzero entries"):
+        algebra._rank_triples(normals)
+
+
+def _reference_span_rows(g, tris):
+    return [
+        wedge(t, boundary(T.labels)) for T in tris for t in range(1, g.n + 1) if t not in T.labels
+    ]
+
+
+def _assert_span_rows_match_reference(g):
+    tris = triangles(g)
+    rows = span_f3_rows(g, tris)
+    assert rows == _reference_span_rows(g, tris)
+    assert all(len(row) == 3 and set(row.values()) <= {1, -1} for row in rows)
+
+
+@given(signed_graphs(max_ell=5, allow_b2=True))
+@settings(max_examples=60, deadline=None)
+def test_span_rows_match_wedge_of_boundary_on_random_graphs(g):
+    _assert_span_rows_match_reference(g)
+
+
+@pytest.mark.parametrize("loops", [(), (1,), (1, 2)])
+@pytest.mark.parametrize("ell", [3, 4, 5])
+def test_span_rows_match_wedge_of_boundary_on_doubled(ell, loops):
+    _assert_span_rows_match_reference(complete_doubled(ell, loops=loops))
+
+
 def test_row_counts(looped_wedge, doubled_triangle_loop):
     assert len(span_f3_rows(looped_wedge)) == 12
     assert len(ideal3_rows(looped_wedge)) == 24

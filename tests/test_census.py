@@ -1,3 +1,4 @@
+import hashlib
 from math import comb
 
 import pytest
@@ -9,10 +10,13 @@ from falk3 import (
     census,
     complete_doubled,
     complete_positive,
+    GenConfig,
     dim_i3_2_formula,
+    enumerate_all,
     phi3_formula,
     phi3_oracle,
     rank_i3_2,
+    sample_stream,
     triangles,
 )
 from helpers import b2_graph, graphs_with_sigma, signed_graphs
@@ -101,3 +105,22 @@ def test_census_is_switching_invariant(gs):
 @settings(max_examples=25, deadline=None)
 def test_formula_agrees_with_oracle(g):
     assert phi3_formula(census(g)) == phi3_oracle(g)
+
+
+# sha256 over census(g).as_tuple(), one line per graph, for every graph of
+# enumerate_all(3) and then 200 sampler graphs at each of 5, 6 and 7 vertices
+# (seed = vertex count, default probabilities); recorded from the per-vertex
+# signs_on enumeration that the table-driven census replaced.
+_CENSUS_SHA256 = "f279630203815e7bcdf61f4012a8da9ad32da1530ec54ee910b85ef6e76a7b3f"
+
+
+def test_census_is_pinned_by_value():
+    graphs = list(enumerate_all(3))
+    for ell in (5, 6, 7):
+        graphs += sample_stream(GenConfig(ell=ell, seed=ell, samples=200))
+    h = hashlib.sha256()
+    for g in graphs:
+        h.update(f"{census(g).as_tuple()}\n".encode())
+    # raise, not assert: the pin must hold under python -O too
+    if len(graphs) != 1027 or h.hexdigest() != _CENSUS_SHA256:
+        raise AssertionError(f"census of {len(graphs)} graphs hashes to {h.hexdigest()}")

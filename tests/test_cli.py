@@ -11,11 +11,15 @@ from falk3 import (
     DuplicateEdge,
     ParseError,
     SelfPairEdge,
+    SignedGraph,
     VertexOutOfRange,
     complete_doubled,
+    loop,
+    neg,
     parse_graph,
     parse_sigma,
     phi3_oracle,
+    pos,
     serialize,
 )
 from falk3 import algebra, build_report, cli, rank
@@ -54,6 +58,27 @@ def test_parse_duplicate_edge_reports_line():
     text = "vertices 2\n+ 1 2\n+ 2 1\n"
     with pytest.raises(DuplicateEdge, match="line 3"):
         parse_graph(text)
+
+
+def test_parse_restates_graph_faults_by_line():
+    # SignedGraph makes the edge checks and names the label; the parser names
+    # the file line instead, with the same exception class and fault text
+    cases = [
+        ("vertices 3\n+ 1 2\n\n+ 2 1\n", (3, [pos(1, 2), pos(2, 1)]),
+         DuplicateEdge, 2, 4, "duplicate '+' edge at (1, 2)"),
+        ("vertices 2\n# c\n+ 1 1\n", (2, [pos(1, 1)]),
+         SelfPairEdge, 1, 3, "signed edge from vertex 1 to itself"),
+        ("vertices 2\no 1\n- 0 2\n", (2, [loop(1), neg(0, 2)]),
+         VertexOutOfRange, 2, 3, "endpoints (0, 2) outside 1..2"),
+    ]
+    for text, (ell, edges), error, label, line_no, detail in cases:
+        with pytest.raises(error) as direct:
+            SignedGraph(ell, edges)
+        assert (direct.value.label, direct.value.detail) == (label, detail)
+        assert str(direct.value) == f"edge {label}: {detail}"
+        with pytest.raises(error) as parsed:
+            parse_graph(text)
+        assert str(parsed.value) == f"line {line_no}: {detail}"
 
 
 def test_parse_missing_vertices_line():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from falk3 import bigint_rank, exact_rank, modp_rank
+from falk3 import bigint_rank, complete_doubled, exact_rank, ideal3_rows, modp_rank, rank
 
 
 small_matrices = arrays(
@@ -98,3 +98,28 @@ def test_input_is_not_mutated():
     exact_rank(rows)
     modp_rank(rows)
     assert rows == [{"a": 2, "b": 1}, {"a": 1, "b": 2}]
+
+
+def test_elimination_takes_one_shot_generators():
+    # the degree-3 pass streams its rows: a generator must give the counts a list gives
+    for g in (complete_doubled(3, loops=(1,)), complete_doubled(4, loops=(1, 2))):
+        rows = ideal3_rows(g)
+        half = len(rows) // 2
+        for p in (None, rank.SCREEN_PRIME, 3):
+            listed = rank._eliminate([rows[:half], rows[half:]], p)
+            streamed = rank._eliminate([(dict(r) for r in rows[:half]), iter(rows[half:])], p)
+            assert streamed == listed
+
+
+@given(small_matrices, st.integers(-2, 2))
+@settings(max_examples=100, deadline=None)
+def test_rows_with_zeros_and_multiples_of_p_match_bigint(m, k):
+    # every minor is below 6! * 9^6 < p in size, so the rank over Z/p is the
+    # rank over the rationals; zeros and multiples of p must both drop out
+    p = rank.SCREEN_PRIME
+    expected = bigint_rank(m.tolist())
+    rows = [{**{j: int(v) for j, v in enumerate(row)}, "zero": 0} for row in m]
+    assert exact_rank(rows) == expected
+    assert modp_rank(rows, p) == expected
+    shifted = [{**{j: int(v) + k * p for j, v in enumerate(row)}, "p": k * p} for row in m]
+    assert modp_rank(shifted, p) == expected
