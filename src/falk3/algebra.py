@@ -11,12 +11,13 @@ independently.  Pairs whose normals have disjoint supports on more than 2
 vertices are skipped; that is exact because every normal has at most 2
 nonzero entries (see `_rank_triples`).
 
-The degree-3 side is one elimination per graph: the rows e_t ^ boundary(e_T)
-with t outside T (span F3) first, then the rows with t inside T, which are
-just the unit rows +-e_T (I3_2).  The span rows are built directly from
-their four sign patterns and streamed into the elimination, so they are
-never all alive at once.  `ideal3_rows`, `wedge` and `boundary` keep the
-full generating set as the reference definition the tests rank against.
+`rank_side` is the one rank-side pass per graph: triangles once, then two
+exact eliminations.  dim A^2 is the boundary-row rank.  The degree-3 one
+takes the rows e_t ^ boundary(e_T) with t outside T (span F3) first, then
+the unit rows +-e_T that t inside T gives (I3_2); span rows are built from
+four sign patterns and streamed in, never all alive at once.  `ideal3_rows`,
+`wedge` and `boundary` keep the full generating set as the reference
+definition the tests rank against.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def _pattern_triangles(g: SignedGraph) -> dict[tuple[int, int, int], str]:
     """Pattern route: every triangle read off the graph's label maps, with its kind."""
     signed, looped = g._sign_label, g._loop_label
     found = {}
-    for a, b, c in itertools.combinations(range(1, g.ell + 1), 3):
+    for a, b, c in g._vertex_triangles():
         for s_ab in (1, -1):
             l_ab = signed.get((a, b, s_ab))
             if l_ab is None:
@@ -180,15 +181,14 @@ def triangles(g: SignedGraph) -> list[Triangle]:
 # -- row builders ----------------------------------------------------------
 
 
-def ideal3_rows(g: SignedGraph, tris=None) -> list[dict]:
+def ideal3_rows(g: SignedGraph) -> list[dict]:
     """Degree-3 generating rows e_t ^ boundary(e_T), all triangles T, all labels t.
 
     For t inside T the product degenerates to plus or minus e_T; those rows
     are kept, matching the generating set whose span is measured.
     """
-    tris = triangles(g) if tris is None else tris
     rows = []
-    for tri in tris:
+    for tri in triangles(g):
         b = boundary(tri.labels)
         for t in range(1, g.n + 1):
             rows.append(wedge(t, b))
@@ -215,10 +215,9 @@ def _span_f3_row_stream(n: int, tris):
             yield {(b, c, t): 1, (a, c, t): -1, (a, b, t): 1}
 
 
-def span_f3_rows(g: SignedGraph, tris=None) -> list[dict]:
+def span_f3_rows(g: SignedGraph) -> list[dict]:
     """Rows e_t ^ boundary(e_T) with t outside the triangle T."""
-    tris = triangles(g) if tris is None else tris
-    return list(_span_f3_row_stream(g.n, tris))
+    return list(_span_f3_row_stream(g.n, triangles(g)))
 
 
 def rows_to_matrix(rows) -> np.ndarray:
@@ -240,73 +239,65 @@ def rows_to_matrix(rows) -> np.ndarray:
 # -- dimensions and the invariant -------------------------------------------
 
 
-def dim_a2(g: SignedGraph, tris=None) -> int:
-    """Degree-2 algebra dimension C(n,2) - #triangles; needs a B2-free graph.
-
-    The count is checked against the exact rank of the boundary rows; a
-    discrepancy would mean some rank-2 flat carries more than three
-    hyperplanes, and raises RankMismatch.
+def _dim_a2(g: SignedGraph, tris) -> int:
+    """dim A^2 as the exact boundary-row rank.  On a B2-free graph it must equal
+    C(n,2) - #triangles; else some rank-2 flat has over three hyperplanes: RankMismatch.
     """
-    if g.contains_b2():
-        raise B2Present("dim A^2 by triangle count needs a graph with no B2 sub-arrangement")
-    tris = triangles(g) if tris is None else tris
-    value = comb(g.n, 2) - len(tris)
-    ranked = dim_a2_rank(g, tris)
-    if ranked != value:
+    ranked = comb(g.n, 2) - exact_rank([boundary(t.labels) for t in tris])
+    counted = comb(g.n, 2) - len(tris)
+    if not g._b2 and ranked != counted:
         raise RankMismatch(
-            f"triangle count gives dim A^2 = {value} but boundary rows give {ranked}"
+            f"triangle count gives dim A^2 = {counted} but boundary rows give {ranked}"
         )
-    return value
+    return ranked
 
 
-def dim_a2_rank(g: SignedGraph, tris=None) -> int:
-    """Degree-2 algebra dimension from the exact boundary-row rank; any graph."""
-    tris = triangles(g) if tris is None else tris
-    rows = [boundary(t.labels) for t in tris]
-    return comb(g.n, 2) - exact_rank(rows)
-
-
-def _degree3_dims(g: SignedGraph, tris=None) -> tuple[int, int]:
-    """(dim span F3, dim I3_2): the span-F3 rows, then one unit row e_T per
-    triangle, in one exact elimination.
+def rank_side(g: SignedGraph) -> tuple[int, int, int, int]:
+    """(#triangles, dim A^2, dim span F3, dim I3_2) of one graph, from two eliminations.
 
     dim I3_2 is not dim span F3 + #triangles in general: on graphs with B2
     some e_T already lie in span F3.
     """
-    tris = triangles(g) if tris is None else tris
+    tris = triangles(g)
+    a2 = _dim_a2(g, tris)
     # streamed: each row is built when the elimination reads it, never all at once
     span, ideal = rank._eliminate(
         [_span_f3_row_stream(g.n, tris), ({t.labels: 1} for t in tris)], None
     )
-    return span, ideal
+    return len(tris), a2, span, ideal
 
 
-def rank_i3_2(g: SignedGraph, tris=None) -> int:
+def dim_a2(g: SignedGraph) -> int:
+    """Degree-2 algebra dimension C(n,2) - #triangles, rank-checked; needs a B2-free graph."""
+    if g.contains_b2():
+        raise B2Present("dim A^2 by triangle count needs a graph with no B2 sub-arrangement")
+    return _dim_a2(g, triangles(g))
+
+
+def dim_a2_rank(g: SignedGraph) -> int:
+    """Degree-2 algebra dimension from the exact boundary-row rank; any graph."""
+    return _dim_a2(g, triangles(g))
+
+
+def rank_i3_2(g: SignedGraph) -> int:
     """Exact dimension of the degree-3 part of the ideal generated in degree 2."""
-    return _degree3_dims(g, tris)[1]
+    return rank_side(g)[3]
 
 
-def dim_span_f3(g: SignedGraph, tris=None) -> int:
+def dim_span_f3(g: SignedGraph) -> int:
     """Exact dimension of the span of the non-degenerate rows."""
-    return _degree3_dims(g, tris)[0]
+    return rank_side(g)[2]
 
 
-def phi3_from_dims(n: int, dim_a2_value: int, dim_i3_2: int) -> int:
+def phi3_from_dims(n: int, a2: int, dim_i3_2: int) -> int:
     """Falk's rank formula: 2 C(n+1,3) - n dim A^2 + C(n,3) - dim I3_2."""
-    value = 2 * comb(n + 1, 3) - n * dim_a2_value + comb(n, 3) - dim_i3_2
+    value = 2 * comb(n + 1, 3) - n * a2 + comb(n, 3) - dim_i3_2
     if value < 0:
         raise RankMismatch(f"negative invariant {value}; some dimension is wrong")
     return value
 
 
-def phi3_oracle(g: SignedGraph, dim_a2_value: int | None = None) -> int:
-    """The third invariant by exact ranks.
-
-    Without an explicit dim A^2 the counting form is used, which requires a
-    B2-free graph; passing dim_a2_rank(g) makes the oracle valid for any
-    signed graph.
-    """
-    tris = triangles(g)
-    if dim_a2_value is None:
-        dim_a2_value = dim_a2(g, tris=tris)
-    return phi3_from_dims(g.n, dim_a2_value, rank_i3_2(g, tris))
+def phi3_oracle(g: SignedGraph) -> int:
+    """The third invariant by exact ranks; any signed graph."""
+    _count, a2, _span, ideal = rank_side(g)
+    return phi3_from_dims(g.n, a2, ideal)

@@ -8,7 +8,7 @@ doubled pair always carries one edge of each sign.
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, astuple, dataclass
 
 from .errors import B2Present
 from .graphs import SignedGraph
@@ -43,10 +43,10 @@ class Census:
     d31: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return asdict(self)
 
     def as_tuple(self) -> tuple[int, ...]:
-        return tuple(getattr(self, f.name) for f in fields(self))
+        return astuple(self)
 
     def triangle_total(self) -> int:
         return self.k3 + self.d21 + self.k22
@@ -67,7 +67,9 @@ def census(g: SignedGraph) -> Census:
     """Count the eight classes by local enumeration over vertex tuples.
 
     One pair -> signs table and one loop table are read off the graph's
-    label maps; every count comes from those two tables.
+    label maps; every count comes from those two tables.  Vertex triples
+    and 4-sets are reached through the graph's neighbour map, so the cost
+    grows with the edges, not with the number of vertices.
     """
     if g.contains_b2():
         raise B2Present("the census is defined for graphs with no B2 sub-arrangement")
@@ -76,14 +78,12 @@ def census(g: SignedGraph) -> Census:
     for i, j, s in g._sign_label:
         signs[(i, j)] = signs.get((i, j), ()) + (s,)
     looped = set(g._loop_label)
+    adj = g._neighbours
 
-    verts = range(1, g.ell + 1)
     k3 = k4 = d3 = d21 = k22 = k33 = g_circ = d31 = 0
 
-    for a, b, c in itertools.combinations(verts, 3):
-        sab, sbc, sac = signs.get((a, b)), signs.get((b, c)), signs.get((a, c))
-        if not (sab and sbc and sac):
-            continue
+    for a, b, c in g._vertex_triangles():
+        sab, sbc, sac = signs[(a, b)], signs[(b, c)], signs[(a, c)]
         balanced = _balanced(sab, sbc, sac)
         k3 += balanced
         nloops = (a in looped) + (b in looped) + (c in looped)
@@ -93,6 +93,18 @@ def census(g: SignedGraph) -> Census:
             if nloops == 0:
                 d3 += 1
             d31 += nloops
+        for d in adj[a] & adj[b] & adj[c]:
+            if d < c:
+                continue
+            # a sign choice on K4 is balanced exactly when it is a switching
+            # sigma_i sigma_j of the all-positive one; fixing sigma on the first
+            # vertex, each balanced choice comes from one sigma on the other three
+            quad = (a, b, c, d)
+            pairs = list(itertools.combinations(quad, 2))
+            choices = [signs[pair] for pair in pairs]
+            for rest in itertools.product((1, -1), repeat=3):
+                sigma = dict(zip(quad, (1, *rest)))
+                k4 += all(sigma[i] * sigma[j] in ch for (i, j), ch in zip(pairs, choices))
 
     for (i, j), s in signs.items():
         ends = (i in looped) + (j in looped)
@@ -102,23 +114,12 @@ def census(g: SignedGraph) -> Census:
             k22 += len(s)
 
     for apex in looped:
-        doubled = [u for u in verts if len(signs.get((min(u, apex), max(u, apex)), ())) == 2]
+        doubled = sorted(
+            u for u in adj.get(apex, ()) if len(signs[(min(u, apex), max(u, apex))]) == 2
+        )
         for a, c in itertools.combinations(doubled, 2):
             if len(signs.get((a, c), ())) == 1:
                 g_circ += 1
-
-    for quad in itertools.combinations(verts, 4):
-        pairs = list(itertools.combinations(quad, 2))
-        choices = [signs.get(pair) for pair in pairs]
-        if not all(choices):
-            continue
-        # a sign choice on K4 is balanced exactly when it is a switching
-        # sigma_i sigma_j of the all-positive one; fixing sigma on the first
-        # vertex, each balanced choice comes from one sigma on the other three
-        for rest in itertools.product((1, -1), repeat=3):
-            sigma = dict(zip(quad, (1, *rest)))
-            if all(sigma[i] * sigma[j] in ch for (i, j), ch in zip(pairs, choices)):
-                k4 += 1
 
     return Census(k3, k4, d3, d21, k22, k33, g_circ, d31)
 

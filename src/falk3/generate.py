@@ -85,8 +85,11 @@ def enumerate_all(ell: int, max_n: int | None = None):
 
     Pairs run through the states absent/positive/negative/both and vertices
     through loop absent/present, in a fixed lexicographic order; graphs with
-    more than max_n edges are skipped when max_n is given.
+    more than max_n edges are skipped when max_n is given.  A negative ell
+    raises ValueError when the stream is first read.
     """
+    if ell < 0:
+        raise ValueError(f"ell must be at least 0, got {ell}")
     pairs = list(itertools.combinations(range(1, ell + 1), 2))
     edges_per_state = (0, 1, 1, 2)
     for pair_states in itertools.product(range(4), repeat=len(pairs)):

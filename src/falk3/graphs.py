@@ -121,6 +121,27 @@ class SignedGraph:
     def loop_label(self, v: int) -> int | None:
         return self._loop_label.get(v)
 
+    @cached_property
+    def _neighbours(self) -> dict[int, set[int]]:
+        """Vertex -> the vertices it shares a non-loop edge with; edgeless vertices are absent."""
+        adj: dict[int, set[int]] = {}
+        for i, j, _s in self._sign_label:
+            adj.setdefault(i, set()).add(j)
+            adj.setdefault(j, set()).add(i)
+        return adj
+
+    def _vertex_triangles(self):
+        """Vertex triples a < b < c joined pairwise by edges, in no fixed order.
+
+        Each is an edge pair a < b plus a common neighbour c > b, so the cost
+        grows with the edges, not with the C(ell,3) vertex triples.
+        """
+        adj = self._neighbours
+        for a, b in dict.fromkeys((i, j) for i, j, _s in self._sign_label):
+            for c in adj[a] & adj[b]:
+                if c > b:
+                    yield a, b, c
+
     # -- hyperplane geometry ---------------------------------------------
 
     def normal_vector(self, label: int) -> np.ndarray:

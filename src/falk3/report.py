@@ -1,12 +1,13 @@
 """Assembled invariants for one graph, renderable as text or a JSON dict.
 
-When the graph contains a B2 sub-arrangement the census formula does not
-apply: census, phi3_formula and agreement come back None and the oracle
-value is computed from the exact boundary-row rank instead of the triangle
-count.
+The rank side (triangle count, dim A^2, dim span F3, dim I3_2) comes from
+`algebra.rank_side`, the same pass `phi3_oracle` uses, on every graph.  The
+census side is computed apart from it.  When the graph contains a B2
+sub-arrangement the census formula does not apply: census, phi3_formula and
+agreement come back None.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import algebra
 from .census import Census, census, phi3_formula
@@ -29,23 +30,16 @@ class FalkReport:
 
 
 def build_report(g: SignedGraph) -> FalkReport:
-    tris = algebra.triangles(g)
-    b2 = g.contains_b2()
-    if b2:
-        a2 = algebra.dim_a2_rank(g, tris)
-        cen = None
-        formula = None
-    else:
-        a2 = algebra.dim_a2(g, tris=tris)
-        cen = census(g)
-        formula = phi3_formula(cen)
-    span, i32 = algebra._degree3_dims(g, tris)
+    count, a2, span, i32 = algebra.rank_side(g)
     oracle = algebra.phi3_from_dims(g.n, a2, i32)
+    b2 = g.contains_b2()
+    cen = None if b2 else census(g)
+    formula = None if b2 else phi3_formula(cen)
     return FalkReport(
         ell=g.ell,
         n=g.n,
         contains_b2=b2,
-        triangle_count=len(tris),
+        triangle_count=count,
         dim_A2=a2,
         dim_I3_2=i32,
         dim_span_F3=span,
@@ -57,19 +51,7 @@ def build_report(g: SignedGraph) -> FalkReport:
 
 
 def to_json_dict(r: FalkReport) -> dict:
-    return {
-        "ell": r.ell,
-        "n": r.n,
-        "contains_b2": r.contains_b2,
-        "triangle_count": r.triangle_count,
-        "dim_A2": r.dim_A2,
-        "dim_I3_2": r.dim_I3_2,
-        "dim_span_F3": r.dim_span_F3,
-        "phi3_oracle": r.phi3_oracle,
-        "phi3_formula": r.phi3_formula,
-        "census": None if r.census is None else r.census.as_dict(),
-        "agreement": r.agreement,
-    }
+    return asdict(r)
 
 
 def render_text(r: FalkReport) -> str:

@@ -18,10 +18,10 @@ from falk3 import (
     GenConfig,
     SignedGraph,
     boundary,
+    build_report,
     census,
     complete_doubled,
     complete_positive,
-    dim_a2,
     dim_i3_2_formula,
     dim_span_f3,
     enumerate_all,
@@ -30,7 +30,6 @@ from falk3 import (
     loop_apex_triangle,
     modp_rank,
     phi3_formula,
-    phi3_from_dims,
     phi3_oracle,
     rank_i3_2,
     rows_to_matrix,
@@ -38,7 +37,6 @@ from falk3 import (
     span_f3_rows,
     triangles,
 )
-from falk3 import algebra
 from helpers import hub4_mixed
 
 
@@ -58,18 +56,15 @@ class Record:
 
 
 def _record(g: SignedGraph) -> Record:
-    tris = triangles(g)
-    c = census(g)
-    a2 = dim_a2(g, tris=tris)
-    span, i32 = algebra._degree3_dims(g, tris)
+    r = build_report(g)
     return Record(
         g=g,
-        n_triangles=len(tris),
-        phi3_formula=phi3_formula(c),
-        phi3_oracle=phi3_from_dims(g.n, a2, i32),
-        dim_i3_2=i32,
-        dim_i3_2_formula=dim_i3_2_formula(g, c),
-        dim_span_f3=span,
+        n_triangles=r.triangle_count,
+        phi3_formula=r.phi3_formula,
+        phi3_oracle=r.phi3_oracle,
+        dim_i3_2=r.dim_I3_2,
+        dim_i3_2_formula=dim_i3_2_formula(g, r.census),
+        dim_span_f3=r.dim_span_F3,
     )
 
 
@@ -108,9 +103,9 @@ def test_criterion_2_doubled_triangle_with_loop():
     g = complete_doubled(3, loops=(1,))
     tris = triangles(g)
     assert len(tris) == 6
-    assert len(span_f3_rows(g, tris)) == 24
-    assert dim_span_f3(g, tris) == 19
-    assert rank_i3_2(g, tris) == 25
+    assert len(span_f3_rows(g)) == 24
+    assert dim_span_f3(g) == 19
+    assert rank_i3_2(g) == 25
     oracle = phi3_oracle(g)
     formula = phi3_formula(census(g))
     assert oracle == formula == 17
@@ -133,16 +128,13 @@ def test_criterion_3_ten_dimensional_span_family():
 def test_criterion_4_eleven_hyperplane_mixed_graph():
     start = time.perf_counter()
     g = hub4_mixed()
-    tris = triangles(g)
-    c = census(g)
-    a2 = dim_a2(g, tris=tris)
-    oracle = phi3_from_dims(g.n, a2, rank_i3_2(g, tris))
-    formula = phi3_formula(c)
+    r = build_report(g)
+    c, a2, oracle, formula = r.census, r.dim_A2, r.phi3_oracle, r.phi3_formula
     elapsed = time.perf_counter() - start
     assert c.as_tuple() == (9, 2, 0, 3, 0, 0, 2, 1)
     assert oracle == formula == 37
     assert a2 == comb(11, 2) - 12 == 43
-    rows = rows_to_matrix(span_f3_rows(g, tris))
+    rows = rows_to_matrix(span_f3_rows(g))
     assert rows.shape[0] == 96
     assert rows.shape[1] <= comb(11, 3) == 165
     assert elapsed < 1.0

@@ -175,7 +175,7 @@ def _reference_span_rows(g, tris):
 
 def _assert_span_rows_match_reference(g):
     tris = triangles(g)
-    rows = span_f3_rows(g, tris)
+    rows = span_f3_rows(g)
     assert rows == _reference_span_rows(g, tris)
     assert all(len(row) == 3 and set(row.values()) <= {1, -1} for row in rows)
 
@@ -236,7 +236,7 @@ def test_dim_a2_rank_handles_b2():
     g = b2_graph()
     # four dependent triples but their boundary rows only span rank 3
     assert dim_a2_rank(g) == comb(4, 2) - 3
-    assert phi3_oracle(g, dim_a2_value=dim_a2_rank(g)) >= 0
+    assert phi3_oracle(g) >= 0
 
 
 def test_dim_a2_of_edgeless_graph():
@@ -291,9 +291,7 @@ def test_dims_large_doubled_with_loop(ell, dim_i3_2, dim_span, phi3):
 def test_oracle_is_switching_invariant(gs):
     g, sigma = gs
     h = g.switch(sigma)
-    assert phi3_oracle(g, dim_a2_value=dim_a2_rank(g)) == phi3_oracle(
-        h, dim_a2_value=dim_a2_rank(h)
-    )
+    assert phi3_oracle(g) == phi3_oracle(h)
 
 
 def _assert_one_pass_matches_two_eliminations(g):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -235,6 +236,13 @@ def test_verify_exhaustive_refuses_five_or_more_vertices(monkeypatch, capsys, el
     assert f"4^C({ell},2)*2^{ell} = 2^{ell * ell} graphs" in captured.err
 
 
+def test_verify_exhaustive_refuses_negative_vertices(capsys):
+    assert main(["verify", "--vertices", "-1", "--exhaustive"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ell must be at least 0, got -1\n"
+
+
 def test_verify_sampled(capsys):
     assert main(["verify", "--vertices", "4", "--samples", "25", "--seed", "3"]) == 0
     assert capsys.readouterr().out.strip() == "25/25 graphs agree"
@@ -258,7 +266,8 @@ def test_verify_goes_through_build_report_only(monkeypatch, capsys):
     assert len(reports) == 12
 
 
-def test_build_report_runs_two_eliminations(monkeypatch):
+@pytest.mark.parametrize("one_pass", ["build_report", "phi3_oracle"])
+def test_build_report_runs_two_eliminations(monkeypatch, one_pass):
     # the degree-2 check, then one degree-3 pass for both dim span F3 and dim I3_2
     calls = []
     eliminate = rank._eliminate
@@ -268,9 +277,33 @@ def test_build_report_runs_two_eliminations(monkeypatch):
         return eliminate(groups, p)
 
     monkeypatch.setattr(rank, "_eliminate", counting_eliminate)
-    report = build_report(hub4_mixed())
-    assert (report.dim_span_F3, report.dim_I3_2, report.agreement) == (83, 95, True)
+    if one_pass == "build_report":
+        report = build_report(hub4_mixed())
+        assert (report.dim_span_F3, report.dim_I3_2, report.agreement) == (83, 95, True)
+    else:
+        assert phi3_oracle(hub4_mixed()) == 37
     assert calls == [None, None]
+
+
+@given(signed_graphs(max_ell=5, allow_b2=True))
+@settings(max_examples=60, deadline=None)
+def test_phi3_oracle_is_the_report_oracle_on_every_graph(g):
+    # one rank side for both, so the oracle needs no B2-free graph
+    assert phi3_oracle(g) == build_report(g).phi3_oracle
+
+
+@pytest.mark.parametrize(
+    "g",
+    [SignedGraph(400, [pos(1, 2)]), SignedGraph(120, [pos(i, i + 1) for i in range(1, 120)])],
+    ids=["one-edge-400", "path-120"],
+)
+def test_build_report_cost_follows_the_edges(g):
+    # triples and 4-sets are reached through edges, never through C(ell,3) vertex triples
+    start = time.perf_counter()
+    report = build_report(g)
+    elapsed = time.perf_counter() - start
+    assert (report.triangle_count, report.phi3_oracle, report.agreement) == (0, 0, True)
+    assert elapsed < 1.0
 
 
 def test_main_reuses_one_parser_without_carrying_state(capsys):

@@ -104,6 +104,12 @@ def test_enumerate_tiny():
     assert SignedGraph(2, [pos(1, 2), neg(1, 2), loop(1)]) in twos
 
 
+def test_enumerate_refuses_negative_vertex_count():
+    assert list(enumerate_all(0)) == [SignedGraph(0, [])]
+    with pytest.raises(ValueError, match="got -1"):
+        next(enumerate_all(-1))
+
+
 def test_enumerate_respects_max_n():
     capped = list(enumerate_all(3, max_n=7))
     assert all(g.n <= 7 for g in capped)

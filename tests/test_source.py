@@ -53,3 +53,26 @@ def test_numpy_is_imported_only_inside_functions():
     ]
     if found:
         raise AssertionError(f"numpy imported at module import time: {', '.join(found)}")
+
+
+def _private_algebra_reads(node):
+    """Private `algebra._*` names that a node reads, as attribute or as import."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        if node.value.id == "algebra" and node.attr.startswith("_"):
+            yield node.attr
+    elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "algebra":
+        yield from (alias.name for alias in node.names if alias.name.startswith("_"))
+
+
+def test_only_algebra_reads_its_private_names():
+    # every caller goes through the public rank side, so algebra's helpers can
+    # change without breaking report, cli or census
+    found = [
+        f"{path.name}:{node.lineno} {name}"
+        for path, tree in _modules()
+        if path.name != "algebra.py"
+        for node in ast.walk(tree)
+        for name in _private_algebra_reads(node)
+    ]
+    if found:
+        raise AssertionError(f"private algebra names read outside algebra.py: {', '.join(found)}")
