@@ -7,9 +7,9 @@ triple is one of three local patterns (k3, d21, k22), which `triangles()`
 reads straight off the graph.  An exact check runs beside it on every call:
 the plane spanned by each label pair, keyed by its support and the
 primitive integer wedge of the two normals, gives the dependent triples
-independently.  Pairs whose normals have disjoint supports on more than 2
-vertices are skipped; that is exact because every normal has at most 2
-nonzero entries (see `_rank_triples`).
+independently.  Only pairs whose normals share a vertex, and pairs of two
+loops, are keyed; skipping the rest is exact because every normal has at
+most 2 nonzero entries (see `_rank_triples`).
 
 `rank_side` is the one rank-side pass per graph: triangles once, then two
 exact eliminations.  dim A^2 is the boundary-row rank.  The degree-3 one
@@ -18,6 +18,18 @@ the unit rows +-e_T that t inside T gives (I3_2); span rows are built from
 four sign patterns and streamed in, never all alive at once.  `ideal3_rows`,
 `wedge` and `boundary` keep the full generating set as the reference
 definition the tests rank against.
+
+Only the span rows without a private column are built and eliminated.  The
+row for T = {a < b < c} and t outside T has the columns {t, x, y} for the
+pairs xy of T.  No other row of either group has the column {t, x, y}
+unless another triangle contains xy, or some triangle contains tx or ty (a
+unit row e_txy is the second case).  Restricted to their private columns,
+the rows that have one form a diagonal block with nonzero entries, and every
+other row is zero there; so each adds exactly 1 to the rank of any set of
+rows holding it: dim span F3 = #private + rank(the other span rows), and
+dim I3_2 = #private + rank(those rows and the unit rows).  On a B2-free
+graph no pair lies in two triangles (four hyperplanes would share a rank-2
+flat), so there only the second case applies (see `_shared_rows`).
 """
 
 from __future__ import annotations
@@ -113,25 +125,32 @@ def _rank_triples(normals) -> set[tuple[int, int, int]]:
     has rank <= 2 exactly when all three lie in one group, so the dependent
     triples are the 3-subsets of each group.
 
-    Precondition: every normal has at most 2 nonzero entries, as graph
-    normals do; a wider one raises InternalKindMismatch.  It makes this
-    skip exact: a pair with disjoint supports covering more than 2 vertices
-    is never keyed, because any alpha u + beta v with alpha, beta != 0 has
-    that whole union as support, so their plane holds no third normal
-    except one parallel to u or v, which the zero wedge of that overlapping
-    pair reports.  Two loops (supports {i} and {j}) cover only 2 vertices
-    and are kept: they are the k22 case.
+    Precondition: every normal has 1 or 2 nonzero entries, as graph normals
+    do; any other raises InternalKindMismatch.  Only pairs that share a
+    vertex, and pairs of two single-vertex normals (loops), are keyed, so the
+    cost follows the edges.  That skip is exact: a pair with disjoint
+    supports covering more than 2 vertices has any alpha u + beta v with
+    alpha, beta != 0 supported on that whole union, so their plane holds no
+    third normal except one parallel to u or v, which the zero wedge of that
+    overlapping pair reports.  Two loops (supports {i} and {j}) cover only 2
+    vertices and are kept: they are the k22 case.  Pairs are keyed in
+    ascending order, so the first parallel pair is the one reported.
     """
     vecs = [{x: c for x, c in normal if c} for normal in normals]
+    by_vertex: dict[int, list[int]] = {}
     for k, u in enumerate(vecs, start=1):
-        if len(u) > 2:
+        if not 1 <= len(u) <= 2:
             raise InternalKindMismatch(
-                f"label {k}: normal has {len(u)} nonzero entries; the rank route needs at most 2"
+                f"label {k}: normal has {len(u)} nonzero entries; the rank route needs 1 or 2"
             )
+        for x in u:
+            by_vertex.setdefault(x, []).append(k)
+    touching = {pair for ks in by_vertex.values() for pair in itertools.combinations(ks, 2)}
+    loops = [k for k, u in enumerate(vecs, start=1) if len(u) == 1]
+    touching.update(itertools.combinations(loops, 2))
     planes: dict[tuple, set[int]] = {}
-    for (ku, u), (kv, v) in itertools.combinations(enumerate(vecs, start=1), 2):
-        if len(u) + len(v) > 2 and u.keys().isdisjoint(v):
-            continue
+    for ku, kv in sorted(touching):
+        u, v = vecs[ku - 1], vecs[kv - 1]
         xs = sorted(u.keys() | v.keys())
         if len(xs) == 3:
             # different supports, so never parallel: some minor is nonzero
@@ -162,8 +181,8 @@ def triangles(g: SignedGraph) -> list[Triangle]:
     """All dependent label triples, ascending, with kinds.
 
     Two exact routes run on every call: the pattern route reads the k3,
-    d21 and k22 shapes off the graph, and the rank route groups the C(n,2)
-    label pairs by the plane their normals span.  If the two triple sets
+    d21 and k22 shapes off the graph, and the rank route groups the label
+    pairs that touch by the plane their normals span.  If the two triple sets
     differ, InternalKindMismatch names a triple found by one route only (it
     cannot happen for graphs in this edge model, and is kept as a check).
     """
@@ -195,29 +214,62 @@ def ideal3_rows(g: SignedGraph) -> list[dict]:
     return rows
 
 
-def _span_f3_row_stream(n: int, tris):
-    """Yield e_t ^ boundary(e_abc) for each triangle abc and each label t outside it.
+def _span_f3_row_stream(jobs):
+    """Yield e_t ^ boundary(e_abc) for each job ((a, b, c), ts) and each t in ts.
 
-    boundary(e_abc) = e_bc - e_ac + e_ab, and inserting t into each monomial
-    costs the sign (-1)^(labels before t), so each row is one of four fixed
-    three-entry patterns, by where t falls against a < b < c.  Rows come in
-    the order of span_f3_rows: triangles as given, t ascending.
+    No t may lie in abc.  boundary(e_abc) = e_bc - e_ac + e_ab, and inserting
+    t into each monomial costs the sign (-1)^(labels before t), so each row
+    is one of four fixed three-entry patterns, by where t falls against
+    a < b < c.  Rows come in job order, then in the order of ts.
     """
+    for (a, b, c), ts in jobs:
+        for t in ts:
+            if t < a:
+                yield {(t, b, c): 1, (t, a, c): -1, (t, a, b): 1}
+            elif t < b:
+                yield {(t, b, c): 1, (a, t, c): 1, (a, t, b): -1}
+            elif t < c:
+                yield {(b, t, c): -1, (a, t, c): 1, (a, b, t): 1}
+            else:
+                yield {(b, c, t): 1, (a, c, t): -1, (a, b, t): 1}
+
+
+def _shared_rows(n: int, tris) -> tuple[list, int]:
+    """Row-stream jobs for the span-F3 rows with no private column, and the count of the rest.
+
+    The column {t, x, y} of row e_t ^ boundary(e_T) is shared when another
+    triangle holds the pair xy, or t shares a triangle with x or y (see the
+    module docstring); only the t whose three columns are all shared get a job.
+    Label sets are bitmasks: bit t stands for label t.
+    """
+    pair_count: dict[tuple[int, int], int] = {}
+    partners: dict[int, int] = {}  # label -> the labels of its triangles
     for tri in tris:
         a, b, c = tri.labels
-        for t in range(1, a):
-            yield {(t, b, c): 1, (t, a, c): -1, (t, a, b): 1}
-        for t in range(a + 1, b):
-            yield {(t, b, c): 1, (a, t, c): 1, (a, t, b): -1}
-        for t in range(b + 1, c):
-            yield {(b, t, c): -1, (a, t, c): 1, (a, b, t): 1}
-        for t in range(c + 1, n + 1):
-            yield {(b, c, t): 1, (a, c, t): -1, (a, b, t): 1}
+        mask = 1 << a | 1 << b | 1 << c
+        for x in tri.labels:
+            partners[x] = partners.get(x, 0) | mask
+        for pair in ((a, b), (a, c), (b, c)):
+            pair_count[pair] = pair_count.get(pair, 0) + 1
+    every = (1 << n + 1) - 2  # labels 1..n
+    jobs = []
+    private = 0
+    for tri in tris:
+        a, b, c = labels = tri.labels
+        near = every & ~(1 << a | 1 << b | 1 << c)
+        for x, y in ((b, c), (a, c), (a, b)):
+            if pair_count[x, y] == 1:
+                near &= partners[x] | partners[y]
+        ts = [t for t in range(near.bit_length()) if near >> t & 1]
+        private += n - 3 - len(ts)
+        jobs.append((labels, ts))
+    return jobs, private
 
 
 def span_f3_rows(g: SignedGraph) -> list[dict]:
     """Rows e_t ^ boundary(e_T) with t outside the triangle T."""
-    return list(_span_f3_row_stream(g.n, triangles(g)))
+    jobs = ((t.labels, [s for s in range(1, g.n + 1) if s not in t.labels]) for t in triangles(g))
+    return list(_span_f3_row_stream(jobs))
 
 
 def rows_to_matrix(rows) -> np.ndarray:
@@ -260,11 +312,12 @@ def rank_side(g: SignedGraph) -> tuple[int, int, int, int]:
     """
     tris = triangles(g)
     a2 = _dim_a2(g, tris)
+    jobs, private = _shared_rows(g.n, tris)
     # streamed: each row is built when the elimination reads it, never all at once
     span, ideal = rank._eliminate(
-        [_span_f3_row_stream(g.n, tris), ({t.labels: 1} for t in tris)], None
+        [_span_f3_row_stream(jobs), ({t.labels: 1} for t in tris)], None
     )
-    return len(tris), a2, span, ideal
+    return len(tris), a2, private + span, private + ideal
 
 
 def dim_a2(g: SignedGraph) -> int:

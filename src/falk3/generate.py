@@ -54,14 +54,12 @@ def random_no_b2(cfg: GenConfig, rng=None) -> SignedGraph:
         import numpy as np
 
         rng = np.random.default_rng(cfg.seed)
-    pos_pairs = []
-    neg_pairs = []
-    for i, j in itertools.combinations(range(1, cfg.ell + 1), 2):
-        if rng.random() < cfg.edge_prob_pos:
-            pos_pairs.append((i, j))
-        if rng.random() < cfg.edge_prob_neg:
-            neg_pairs.append((i, j))
-    loops = [v for v in range(1, cfg.ell + 1) if rng.random() < cfg.loop_prob]
+    pairs = list(itertools.combinations(range(1, cfg.ell + 1), 2))
+    # one call draws the same doubles, in the same order, as one call per uniform
+    draws = rng.random(2 * len(pairs) + cfg.ell).tolist()
+    pos_pairs = [p for p, u in zip(pairs, draws[0::2]) if u < cfg.edge_prob_pos]
+    neg_pairs = [p for p, u in zip(pairs, draws[1::2]) if u < cfg.edge_prob_neg]
+    loops = [v for v, u in enumerate(draws[2 * len(pairs) :], start=1) if u < cfg.loop_prob]
     while True:
         g = _build(cfg.ell, pos_pairs, neg_pairs, loops)
         witnesses = g.b2_witnesses()

@@ -10,6 +10,7 @@ from falk3 import (
     InternalKindMismatch,
     RankMismatch,
     SignedGraph,
+    bigint_rank,
     boundary,
     census,
     complete_doubled,
@@ -33,7 +34,7 @@ from falk3 import (
     triangles,
     wedge,
 )
-from falk3 import algebra
+from falk3 import algebra, rank
 from helpers import b2_graph, graphs_with_sigma, signed_graphs, triangles_by_triples
 
 
@@ -295,8 +296,16 @@ def test_oracle_is_switching_invariant(gs):
 
 
 def _assert_one_pass_matches_two_eliminations(g):
-    assert rank_i3_2(g) == exact_rank(ideal3_rows(g))
-    assert dim_span_f3(g) == exact_rank(span_f3_rows(g))
+    # every row ranked, none skipped: rank_side leaves out the span rows with a private column
+    span_rows = span_f3_rows(g)
+    both = span_rows + [{t.labels: 1} for t in triangles(g)]
+    expected = (exact_rank(span_rows), exact_rank(both))
+    assert algebra.rank_side(g)[2:] == expected
+    assert (dim_span_f3(g), rank_i3_2(g)) == expected
+    assert exact_rank(ideal3_rows(g)) == expected[1]
+    if len(both) <= 120:
+        dense = (bigint_rank(rows_to_matrix(span_rows)), bigint_rank(rows_to_matrix(both)))
+        assert dense == expected
 
 
 @given(signed_graphs(max_ell=5, allow_b2=True))
@@ -305,10 +314,29 @@ def test_one_pass_matches_two_eliminations_on_random_graphs(g):
     _assert_one_pass_matches_two_eliminations(g)
 
 
-@pytest.mark.parametrize("loops", [(), (1,), (1, 2)])
+@pytest.mark.parametrize("loops", [(), (1,), (1, 2), "all"])
 @pytest.mark.parametrize("ell", [3, 4, 5])
 def test_one_pass_matches_two_eliminations_on_doubled(ell, loops):
+    loops = tuple(range(1, ell + 1)) if loops == "all" else loops
     _assert_one_pass_matches_two_eliminations(complete_doubled(ell, loops=loops))
+
+
+def test_rank_side_eliminates_only_rows_without_a_private_column(monkeypatch, hub4):
+    calls = []
+    eliminate = rank._eliminate
+
+    def counting_eliminate(groups, p):
+        groups = [list(rows) for rows in groups]
+        calls.append([len(rows) for rows in groups])
+        return eliminate(groups, p)
+
+    monkeypatch.setattr(rank, "_eliminate", counting_eliminate)
+    count, _a2, span, ideal = algebra.rank_side(hub4)
+    assert (count, span, ideal) == (12, 83, 95)
+    assert len(calls) == 2  # the degree-2 check, then one degree-3 pass
+    span_rows, unit_rows = calls[1]
+    assert span_rows < count * (hub4.n - 3) == 96
+    assert unit_rows == count
 
 
 def test_ideal_dim_is_not_span_plus_triangles_with_b2():

@@ -294,11 +294,16 @@ def test_phi3_oracle_is_the_report_oracle_on_every_graph(g):
 
 @pytest.mark.parametrize(
     "g",
-    [SignedGraph(400, [pos(1, 2)]), SignedGraph(120, [pos(i, i + 1) for i in range(1, 120)])],
-    ids=["one-edge-400", "path-120"],
+    [
+        SignedGraph(400, [pos(1, 2)]),
+        SignedGraph(120, [pos(i, i + 1) for i in range(1, 120)]),
+        SignedGraph(3000, [pos(i, i + 1) for i in range(1, 3000)]),
+    ],
+    ids=["one-edge-400", "path-120", "path-3000"],
 )
 def test_build_report_cost_follows_the_edges(g):
-    # triples and 4-sets are reached through edges, never through C(ell,3) vertex triples
+    # triples and 4-sets are reached through edges, never through C(ell,3) vertex triples,
+    # and the rank route keys only label pairs that share a vertex (or two loops)
     start = time.perf_counter()
     report = build_report(g)
     elapsed = time.perf_counter() - start

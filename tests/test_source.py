@@ -76,3 +76,36 @@ def test_only_algebra_reads_its_private_names():
     ]
     if found:
         raise AssertionError(f"private algebra names read outside algebra.py: {', '.join(found)}")
+
+
+def _package_imports(tree) -> set[str]:
+    """The falk3 modules a module imports anywhere, function bodies included."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names if a.name.startswith("falk3."))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "falk3":
+                    continue
+                module = module[len("falk3") :].lstrip(".")
+            if module:
+                found.add(module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_census_and_rank_routes_import_nothing_from_each_other():
+    # the cross-check is worth something only while the census never reads a
+    # rank and the rank side never reads a census
+    forbidden = {"census.py": {"algebra", "rank"}, "algebra.py": {"census"}, "rank.py": {"census"}}
+    imports = {path.name: _package_imports(tree) for path, tree in _modules()}
+    found = [
+        f"{name} imports {sorted(imports[name] & banned)}"
+        for name, banned in forbidden.items()
+        if imports[name] & banned
+    ]
+    if found:
+        raise AssertionError(f"the two routes import each other: {', '.join(found)}")
