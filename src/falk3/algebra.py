@@ -7,9 +7,9 @@ triple is one of three local patterns (k3, d21, k22), which `triangles()`
 reads straight off the graph.  An exact check runs beside it on every call:
 the plane spanned by each label pair, keyed by its support and the
 primitive integer wedge of the two normals, gives the dependent triples
-independently.  Only pairs whose normals share a vertex, and pairs of two
-loops, are keyed; skipping the rest is exact because every normal has at
-most 2 nonzero entries (see `_rank_triples`).
+independently.  Only pairs whose normals share a vertex are keyed;
+skipping the rest is exact because every normal has at most 2 nonzero
+entries (see `_rank_triples`).
 
 `rank_side` is the one rank-side pass per graph: triangles once, then two
 exact eliminations.  dim A^2 is the boundary-row rank.  The degree-3 one
@@ -127,14 +127,14 @@ def _rank_triples(normals) -> set[tuple[int, int, int]]:
 
     Precondition: every normal has 1 or 2 nonzero entries, as graph normals
     do; any other raises InternalKindMismatch.  Only pairs that share a
-    vertex, and pairs of two single-vertex normals (loops), are keyed, so the
-    cost follows the edges.  That skip is exact: a pair with disjoint
-    supports covering more than 2 vertices has any alpha u + beta v with
-    alpha, beta != 0 supported on that whole union, so their plane holds no
-    third normal except one parallel to u or v, which the zero wedge of that
-    overlapping pair reports.  Two loops (supports {i} and {j}) cover only 2
-    vertices and are kept: they are the k22 case.  Pairs are keyed in
-    ascending order, so the first parallel pair is the one reported.
+    vertex are keyed, so the cost follows the edges.  That skip is exact.  A
+    pair with disjoint supports covering more than 2 vertices has any
+    alpha u + beta v with alpha, beta != 0 supported on that whole union, so
+    their plane holds no third normal except one parallel to u or v, which
+    the zero wedge of that overlapping pair reports.  Two loops at i and j
+    span the coordinate plane ij; any third normal in it is an edge on ij,
+    which shares a vertex with each loop, so its own pairs key both loops
+    into that plane.  Of several parallel pairs, the least is reported.
     """
     vecs = [{x: c for x, c in normal if c} for normal in normals]
     by_vertex: dict[int, list[int]] = {}
@@ -145,30 +145,34 @@ def _rank_triples(normals) -> set[tuple[int, int, int]]:
             )
         for x in u:
             by_vertex.setdefault(x, []).append(k)
-    touching = {pair for ks in by_vertex.values() for pair in itertools.combinations(ks, 2)}
-    loops = [k for k, u in enumerate(vecs, start=1) if len(u) == 1]
-    touching.update(itertools.combinations(loops, 2))
     planes: dict[tuple, set[int]] = {}
-    for ku, kv in sorted(touching):
-        u, v = vecs[ku - 1], vecs[kv - 1]
-        xs = sorted(u.keys() | v.keys())
-        if len(xs) == 3:
-            # different supports, so never parallel: some minor is nonzero
-            x, y, z = xs
-            ux, uy, uz = u.get(x, 0), u.get(y, 0), u.get(z, 0)
-            vx, vy, vz = v.get(x, 0), v.get(y, 0), v.get(z, 0)
-            mxy, mxz, myz = ux * vy - uy * vx, ux * vz - uz * vx, uy * vz - uz * vy
-            d = gcd(mxy, mxz, myz)
-            if (mxy or mxz or myz) < 0:  # the first nonzero minor
-                d = -d
-            key = (x, y, z, mxy // d, mxz // d, myz // d)
-        elif len(xs) == 2 and (
-            u.get(xs[0], 0) * v.get(xs[1], 0) != u.get(xs[1], 0) * v.get(xs[0], 0)
-        ):
-            key = tuple(xs)  # two independent vectors on 2 coordinates span that coordinate plane
-        else:
-            raise InternalKindMismatch(f"labels {ku} and {kv} have parallel normals")
-        planes.setdefault(key, set()).update((ku, kv))
+    parallel = []
+    # a pair on the same two vertices is met at both; keying it twice is harmless
+    for ks in by_vertex.values():
+        for ku, kv in itertools.combinations(ks, 2):
+            u, v = vecs[ku - 1], vecs[kv - 1]
+            xs = sorted(u.keys() | v.keys())
+            if len(xs) == 3:
+                # different supports, so never parallel: some minor is nonzero
+                x, y, z = xs
+                ux, uy, uz = u.get(x, 0), u.get(y, 0), u.get(z, 0)
+                vx, vy, vz = v.get(x, 0), v.get(y, 0), v.get(z, 0)
+                mxy, mxz, myz = ux * vy - uy * vx, ux * vz - uz * vx, uy * vz - uz * vy
+                d = gcd(mxy, mxz, myz)
+                if (mxy or mxz or myz) < 0:  # the first nonzero minor
+                    d = -d
+                key = (x, y, z, mxy // d, mxz // d, myz // d)
+            elif len(xs) == 2 and (
+                u.get(xs[0], 0) * v.get(xs[1], 0) != u.get(xs[1], 0) * v.get(xs[0], 0)
+            ):
+                key = tuple(xs)  # two independent vectors on 2 coordinates span that coordinate plane
+            else:
+                parallel.append((ku, kv))
+                continue
+            planes.setdefault(key, set()).update((ku, kv))
+    if parallel:
+        ku, kv = min(parallel)
+        raise InternalKindMismatch(f"labels {ku} and {kv} have parallel normals")
     return {
         triple
         for group in planes.values()
@@ -260,7 +264,11 @@ def _shared_rows(n: int, tris) -> tuple[list, int]:
         for x, y in ((b, c), (a, c), (a, b)):
             if pair_count[x, y] == 1:
                 near &= partners[x] | partners[y]
-        ts = [t for t in range(near.bit_length()) if near >> t & 1]
+        ts = []
+        while near:  # set bits, ascending: one step per row kept
+            low = near & -near
+            ts.append(low.bit_length() - 1)
+            near ^= low
         private += n - 3 - len(ts)
         jobs.append((labels, ts))
     return jobs, private

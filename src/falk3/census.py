@@ -63,6 +63,15 @@ def _balanced(*sign_sets) -> int:
     return int(math.prod(signs[0] for signs in sign_sets) == 1)
 
 
+# A sign choice on K4 is balanced exactly when it is a switching
+# sigma_i sigma_j of the all-positive one.  Fixing sigma_a = 1, each balanced
+# choice comes from one (sigma_b, sigma_c, sigma_d); these are its signs on
+# the pairs ab, ac, ad, bc, bd, cd.
+_K4_SWITCHINGS = tuple(
+    (xb, xc, xd, xb * xc, xb * xd, xc * xd) for xb, xc, xd in itertools.product((1, -1), repeat=3)
+)
+
+
 def census(g: SignedGraph) -> Census:
     """Count the eight classes by local enumeration over vertex tuples.
 
@@ -96,15 +105,13 @@ def census(g: SignedGraph) -> Census:
         for d in adj[a] & adj[b] & adj[c]:
             if d < c:
                 continue
-            # a sign choice on K4 is balanced exactly when it is a switching
-            # sigma_i sigma_j of the all-positive one; fixing sigma on the first
-            # vertex, each balanced choice comes from one sigma on the other three
-            quad = (a, b, c, d)
-            pairs = list(itertools.combinations(quad, 2))
-            choices = [signs[pair] for pair in pairs]
-            for rest in itertools.product((1, -1), repeat=3):
-                sigma = dict(zip(quad, (1, *rest)))
-                k4 += all(sigma[i] * sigma[j] in ch for (i, j), ch in zip(pairs, choices))
+            sad, sbd, scd = signs[(a, d)], signs[(b, d)], signs[(c, d)]
+            k4 += sum(
+                1
+                for xb, xc, xd, xbc, xbd, xcd in _K4_SWITCHINGS
+                if xb in sab and xc in sac and xd in sad
+                and xbc in sbc and xbd in sbd and xcd in scd
+            )
 
     for (i, j), s in signs.items():
         ends = (i in looped) + (j in looped)

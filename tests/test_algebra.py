@@ -151,9 +151,24 @@ def test_parallel_normals_raise():
 
 
 def test_rank_route_keeps_the_pair_of_two_loops():
-    # loops at 1 and 2 have disjoint supports covering 2 vertices: not skipped
+    # the pair of loops at 1 and 2 is not keyed itself, but the edge 12 shares a
+    # vertex with each loop, and its two pairs key both loops into the plane 12
     normals = [((1, 1),), ((2, 1),), ((1, 1), (2, -1))]
     assert algebra._rank_triples(normals) == {(1, 2, 3)}
+    assert algebra._rank_triples(normals[:2]) == set()
+
+
+def test_rank_route_reports_the_least_parallel_pair():
+    # vertex 1 is met first and holds the parallel pair (3, 4); (2, 5) is less
+    normals = [
+        ((1, 1),),
+        ((2, 1), (3, -1)),
+        ((1, 1), (4, -1)),
+        ((1, 2), (4, -2)),
+        ((2, 2), (3, -2)),
+    ]
+    with pytest.raises(InternalKindMismatch, match="labels 2 and 5 have parallel normals"):
+        algebra._rank_triples(normals)
 
 
 def test_rank_route_skips_disjoint_pairs_on_three_vertices():

@@ -293,21 +293,24 @@ def test_phi3_oracle_is_the_report_oracle_on_every_graph(g):
 
 
 @pytest.mark.parametrize(
-    "g",
+    "g,triangle_count,phi3",
     [
-        SignedGraph(400, [pos(1, 2)]),
-        SignedGraph(120, [pos(i, i + 1) for i in range(1, 120)]),
-        SignedGraph(3000, [pos(i, i + 1) for i in range(1, 3000)]),
+        (SignedGraph(400, [pos(1, 2)]), 0, 0),
+        (SignedGraph(120, [pos(i, i + 1) for i in range(1, 120)]), 0, 0),
+        (SignedGraph(3000, [pos(i, i + 1) for i in range(1, 3000)]), 0, 0),
+        # one k22 per edge, and no pair of loops is keyed
+        (SignedGraph(1000, [pos(i, i + 1) for i in range(1, 1000)] + [loop(v) for v in range(1, 1001)]),
+         999, 2 * 999),
     ],
-    ids=["one-edge-400", "path-120", "path-3000"],
+    ids=["one-edge-400", "path-120", "path-3000", "looped-path-1000"],
 )
-def test_build_report_cost_follows_the_edges(g):
+def test_build_report_cost_follows_the_edges(g, triangle_count, phi3):
     # triples and 4-sets are reached through edges, never through C(ell,3) vertex triples,
-    # and the rank route keys only label pairs that share a vertex (or two loops)
+    # and the rank route keys only label pairs that share a vertex
     start = time.perf_counter()
     report = build_report(g)
     elapsed = time.perf_counter() - start
-    assert (report.triangle_count, report.phi3_oracle, report.agreement) == (0, 0, True)
+    assert (report.triangle_count, report.phi3_oracle, report.agreement) == (triangle_count, phi3, True)
     assert elapsed < 1.0
 
 
