@@ -5,31 +5,40 @@ vectors are plain dicts mapping tuple -> integer coefficient.  A "triangle"
 is a dependent label triple, i.e. three hyperplanes of rank 2.  Every such
 triple is one of three local patterns (k3, d21, k22), which `triangles()`
 reads straight off the graph.  An exact check runs beside it on every call:
-the plane spanned by each label pair, keyed by its support and the
-primitive integer wedge of the two normals, gives the dependent triples
-independently.  Only pairs whose normals share a vertex are keyed;
-skipping the rest is exact because every normal has at most 2 nonzero
-entries (see `_rank_triples`).
+`_rank_triples` finds the dependent triples from the list of normals alone.
+Every normal has 1 or 2 nonzero entries, so a dependent triple lies on 2
+vertices (a coordinate plane) or is one normal on each pair of 3 vertices,
+where one lookup of a primitive direction decides it (see there).
 
-`rank_side` is the one rank-side pass per graph: triangles once, then two
-exact eliminations.  dim A^2 is the boundary-row rank.  The degree-3 one
-takes the rows e_t ^ boundary(e_T) with t outside T (span F3) first, then
-the unit rows +-e_T that t inside T gives (I3_2); span rows are built from
-four sign patterns and streamed in, never all alive at once.  `ideal3_rows`,
-`wedge` and `boundary` keep the full generating set as the reference
-definition the tests rank against.
+`rank_side` is the one rank-side pass per graph: triangles once, then the
+rows that need it are eliminated exactly.  dim A^2 is the boundary-row
+rank.  The degree-3 pass takes the rows e_t ^ boundary(e_T) with t outside
+T (span F3) first, then the unit rows +-e_T that t inside T gives (I3_2);
+span rows are built from four sign patterns and streamed in, never all
+alive at once.  `ideal3_rows`, `wedge` and `boundary` keep the full
+generating set as the reference definition the tests rank against.
 
-Only the span rows without a private column are built and eliminated.  The
-row for T = {a < b < c} and t outside T has the columns {t, x, y} for the
-pairs xy of T.  No other row of either group has the column {t, x, y}
-unless another triangle contains xy, or some triangle contains tx or ty (a
-unit row e_txy is the second case).  Restricted to their private columns,
-the rows that have one form a diagonal block with nonzero entries, and every
-other row is zero there; so each adds exactly 1 to the rank of any set of
-rows holding it: dim span F3 = #private + rank(the other span rows), and
-dim I3_2 = #private + rank(those rows and the unit rows).  On a B2-free
-graph no pair lies in two triangles (four hyperplanes would share a rank-2
-flat), so there only the second case applies (see `_shared_rows`).
+Rows with a private column are counted, not eliminated.  If a column of a
+row set is nonzero in one row only, any vanishing combination gives that
+row the coefficient 0; so if each row of R1 has such a column, rank(all) =
+|R1| + rank(the rest).  Which rows have one is read off the triangle list:
+how many triangles hold each label pair (`_pair_counts`), and which labels
+share a triangle with each label.
+- Boundary rows (dim A^2): the row of T has the columns xy for the pairs of
+  T, and xy is private when no other triangle holds it.
+- Span rows: the row for T = {a < b < c} and t outside T has the columns
+  {t, x, y} for the pairs xy of T.  No other row, span or unit, has the
+  column {t, x, y} unless another triangle holds xy, or some triangle holds
+  tx or ty (a unit row e_txy is the second case).  So dim span F3 =
+  #private + rank(the other span rows).
+- Unit rows: the column T of e_T lies in a span row e_t ^ boundary(e_T')
+  only when T' is another triangle holding a pair of T, and t is the third
+  label of T.  So when no other triangle holds a pair of T, e_T adds 1 to
+  dim I3_2, and only the other unit rows enter the pass.
+On a B2-free graph no pair lies in two triangles (four hyperplanes would
+share a rank-2 flat), so every boundary row and every unit row is private:
+nothing is eliminated for dim A^2, and dim I3_2 = dim span F3 + #triangles.
+On a graph with B2 the rows of the 4-flats stay in both eliminations.
 """
 
 from __future__ import annotations
@@ -116,77 +125,80 @@ def _normal(e: Edge) -> tuple[tuple[int, int], ...]:
 def _rank_triples(normals) -> set[tuple[int, int, int]]:
     """Rank route: the label triples (1-based) whose normals span at most a plane.
 
-    The plane two independent integer normals span is keyed by its support
-    (the vertices where u or v is nonzero).  On 2 vertices that support
-    alone is the key, since the plane is the whole coordinate plane; on 3
-    vertices the key adds the 2x2 minors of u and v (their wedge), made
-    primitive with a positive first nonzero entry.  Labels are grouped by
-    the planes of their pairs; since no two normals are parallel, a triple
-    has rank <= 2 exactly when all three lie in one group, so the dependent
-    triples are the 3-subsets of each group.
-
     Precondition: every normal has 1 or 2 nonzero entries, as graph normals
-    do; any other raises InternalKindMismatch.  Only pairs that share a
-    vertex are keyed, so the cost follows the edges.  That skip is exact.  A
-    pair with disjoint supports covering more than 2 vertices has any
-    alpha u + beta v with alpha, beta != 0 supported on that whole union, so
-    their plane holds no third normal except one parallel to u or v, which
-    the zero wedge of that overlapping pair reports.  Two loops at i and j
-    span the coordinate plane ij; any third normal in it is an edge on ij,
-    which shares a vertex with each loop, so its own pairs key both loops
-    into that plane.  Of several parallel pairs, the least is reported.
+    do; any other raises InternalKindMismatch.  Two normals are parallel
+    exactly when they have the same support and the same primitive
+    direction (first entry positive), so one index finds every parallel
+    pair; of several, the least is reported.
+
+    With no two normals parallel, a dependent triple has rank exactly 2, and
+    each of its normals is a combination of the other two with both
+    coefficients nonzero.  So the three supports have the same union as any
+    two of them, and it has at most 3 vertices: two normals with disjoint
+    supports on 3 or 4 vertices would make the third nonzero on all of them.
+    - On 2 vertices p < q every normal supported there lies in the
+      coordinate plane pq: the normals on pq and the loops at p and q.  Every
+      3-subset of them is dependent.
+    - On 3 vertices s < p < q no loop fits: a loop and any second normal
+      span either a coordinate plane, which holds no normal reaching the
+      third vertex, or a plane whose other members have 3 entries.  Two
+      normals on one pair span its coordinate plane, so the triple is one
+      normal on each of sp, sq and pq.  With u = alpha e_s + beta e_p and
+      v = gamma e_s + delta e_q, the plane's only direction without e_s is
+      gamma u - alpha v = gamma beta e_p - alpha delta e_q, so the triple is
+      dependent exactly when the normal on pq is parallel to that vector:
+      one lookup of a primitive direction per pair of normals leaving s
+      upwards to different vertices.
+    The cost follows those pairs.
     """
-    vecs = [{x: c for x, c in normal if c} for normal in normals]
-    by_vertex: dict[int, list[int]] = {}
-    for k, u in enumerate(vecs, start=1):
-        if not 1 <= len(u) <= 2:
+    lines: dict[tuple, list[int]] = {}  # (vertex,) for a loop, else (s, p, a, b) -> labels
+    up: dict[int, list[tuple[int, int, int, int]]] = {}  # s -> (p, label, alpha, beta), p > s
+    for k, normal in enumerate(normals, start=1):
+        u = {x: c for x, c in normal if c}
+        if len(u) == 1:
+            lines.setdefault(tuple(u), []).append(k)
+            continue
+        if len(u) != 2:
             raise InternalKindMismatch(
                 f"label {k}: normal has {len(u)} nonzero entries; the rank route needs 1 or 2"
             )
-        for x in u:
-            by_vertex.setdefault(x, []).append(k)
-    planes: dict[tuple, set[int]] = {}
-    parallel = []
-    # a pair on the same two vertices is met at both; keying it twice is harmless
-    for ks in by_vertex.values():
-        for ku, kv in itertools.combinations(ks, 2):
-            u, v = vecs[ku - 1], vecs[kv - 1]
-            xs = sorted(u.keys() | v.keys())
-            if len(xs) == 3:
-                # different supports, so never parallel: some minor is nonzero
-                x, y, z = xs
-                ux, uy, uz = u.get(x, 0), u.get(y, 0), u.get(z, 0)
-                vx, vy, vz = v.get(x, 0), v.get(y, 0), v.get(z, 0)
-                mxy, mxz, myz = ux * vy - uy * vx, ux * vz - uz * vx, uy * vz - uz * vy
-                d = gcd(mxy, mxz, myz)
-                if (mxy or mxz or myz) < 0:  # the first nonzero minor
-                    d = -d
-                key = (x, y, z, mxy // d, mxz // d, myz // d)
-            elif len(xs) == 2 and (
-                u.get(xs[0], 0) * v.get(xs[1], 0) != u.get(xs[1], 0) * v.get(xs[0], 0)
-            ):
-                key = tuple(xs)  # two independent vectors on 2 coordinates span that coordinate plane
-            else:
-                parallel.append((ku, kv))
-                continue
-            planes.setdefault(key, set()).update((ku, kv))
+        (s, a), (p, b) = sorted(u.items())
+        up.setdefault(s, []).append((p, k, a, b))
+        d = gcd(a, b) if a > 0 else -gcd(a, b)
+        lines.setdefault((s, p, a // d, b // d), []).append(k)
+    parallel = [tuple(ks[:2]) for ks in lines.values() if len(ks) > 1]
     if parallel:
         ku, kv = min(parallel)
         raise InternalKindMismatch(f"labels {ku} and {kv} have parallel normals")
-    return {
-        triple
-        for group in planes.values()
-        if len(group) >= 3
-        for triple in itertools.combinations(sorted(group), 3)
-    }
+    found = set()
+    for s, ups in up.items():
+        # the coordinate plane of each pair s < p: its normals and the loops at s and p
+        on_pair: dict[int, list[int]] = {}
+        for p, k, _a, _b in ups:
+            on_pair.setdefault(p, []).append(k)
+        for p, ks in on_pair.items():
+            group = ks + lines.get((s,), []) + lines.get((p,), [])
+            if len(group) >= 3:
+                found.update(itertools.combinations(sorted(group), 3))
+        ups.sort()
+        for i, (p, ku, alpha, beta) in enumerate(ups):
+            for q, kv, gamma, delta in ups[i + 1 :]:
+                if q == p:
+                    continue
+                a, b = gamma * beta, -alpha * delta
+                d = gcd(a, b) if a > 0 else -gcd(a, b)
+                w = lines.get((p, q, a // d, b // d))
+                if w:
+                    found.add(tuple(sorted((ku, kv, w[0]))))
+    return found
 
 
 def triangles(g: SignedGraph) -> list[Triangle]:
     """All dependent label triples, ascending, with kinds.
 
     Two exact routes run on every call: the pattern route reads the k3,
-    d21 and k22 shapes off the graph, and the rank route groups the label
-    pairs that touch by the plane their normals span.  If the two triple sets
+    d21 and k22 shapes off the graph, and the rank route finds the dependent
+    triples from the list of normals alone.  If the two triple sets
     differ, InternalKindMismatch names a triple found by one route only (it
     cannot happen for graphs in this edge model, and is kept as a check).
     """
@@ -238,32 +250,46 @@ def _span_f3_row_stream(jobs):
                 yield {(b, c, t): 1, (a, c, t): -1, (a, b, t): 1}
 
 
-def _shared_rows(n: int, tris) -> tuple[list, int]:
-    """Row-stream jobs for the span-F3 rows with no private column, and the count of the rest.
+def _pair_counts(tris) -> dict[tuple[int, int], int]:
+    """How many triangles hold each label pair that some triangle holds."""
+    count: dict[tuple[int, int], int] = {}
+    for tri in tris:
+        a, b, c = tri.labels
+        for pair in ((a, b), (a, c), (b, c)):
+            count[pair] = count.get(pair, 0) + 1
+    return count
+
+
+def _shared_rows(n: int, tris, pair_count) -> tuple[list, int, list]:
+    """The degree-3 rows with no private column: span-F3 row-stream jobs, the
+    count of span rows left out, and the triangles whose unit row is kept.
 
     The column {t, x, y} of row e_t ^ boundary(e_T) is shared when another
-    triangle holds the pair xy, or t shares a triangle with x or y (see the
-    module docstring); only the t whose three columns are all shared get a job.
+    triangle holds the pair xy, or t shares a triangle with x or y; the unit
+    row e_T is shared when another triangle holds a pair of T (see the module
+    docstring).  Only the t whose three columns are all shared get a job.
     Label sets are bitmasks: bit t stands for label t.
     """
-    pair_count: dict[tuple[int, int], int] = {}
     partners: dict[int, int] = {}  # label -> the labels of its triangles
     for tri in tris:
         a, b, c = tri.labels
         mask = 1 << a | 1 << b | 1 << c
         for x in tri.labels:
             partners[x] = partners.get(x, 0) | mask
-        for pair in ((a, b), (a, c), (b, c)):
-            pair_count[pair] = pair_count.get(pair, 0) + 1
     every = (1 << n + 1) - 2  # labels 1..n
     jobs = []
+    units = []
     private = 0
     for tri in tris:
         a, b, c = labels = tri.labels
         near = every & ~(1 << a | 1 << b | 1 << c)
+        alone = 0
         for x, y in ((b, c), (a, c), (a, b)):
             if pair_count[x, y] == 1:
                 near &= partners[x] | partners[y]
+                alone += 1
+        if alone < 3:
+            units.append(labels)
         ts = []
         while near:  # set bits, ascending: one step per row kept
             low = near & -near
@@ -271,7 +297,7 @@ def _shared_rows(n: int, tris) -> tuple[list, int]:
             near ^= low
         private += n - 3 - len(ts)
         jobs.append((labels, ts))
-    return jobs, private
+    return jobs, private, units
 
 
 def span_f3_rows(g: SignedGraph) -> list[dict]:
@@ -299,11 +325,19 @@ def rows_to_matrix(rows) -> np.ndarray:
 # -- dimensions and the invariant -------------------------------------------
 
 
-def _dim_a2(g: SignedGraph, tris) -> int:
+def _dim_a2(g: SignedGraph, tris, pair_count) -> int:
     """dim A^2 as the exact boundary-row rank.  On a B2-free graph it must equal
     C(n,2) - #triangles; else some rank-2 flat has over three hyperplanes: RankMismatch.
+
+    Only the rows whose three pairs all lie in other triangles are eliminated;
+    each other row has a private column and adds 1 (see the module docstring).
     """
-    ranked = comb(g.n, 2) - exact_rank([boundary(t.labels) for t in tris])
+    shared = []
+    for t in tris:
+        a, b, c = t.labels
+        if pair_count[a, b] > 1 and pair_count[a, c] > 1 and pair_count[b, c] > 1:
+            shared.append(boundary(t.labels))
+    ranked = comb(g.n, 2) - (len(tris) - len(shared)) - (exact_rank(shared) if shared else 0)
     counted = comb(g.n, 2) - len(tris)
     if not g._b2 and ranked != counted:
         raise RankMismatch(
@@ -313,31 +347,36 @@ def _dim_a2(g: SignedGraph, tris) -> int:
 
 
 def rank_side(g: SignedGraph) -> tuple[int, int, int, int]:
-    """(#triangles, dim A^2, dim span F3, dim I3_2) of one graph, from two eliminations.
+    """(#triangles, dim A^2, dim span F3, dim I3_2) of one graph.
 
-    dim I3_2 is not dim span F3 + #triangles in general: on graphs with B2
-    some e_T already lie in span F3.
+    Rows with a private column are counted, not eliminated, so on a B2-free
+    graph the one elimination left is the degree-3 pass over the span rows
+    whose columns are all shared.  There every unit row e_T is private and
+    dim I3_2 = dim span F3 + #triangles; on graphs with B2 some e_T may
+    already lie in span F3, and the pass ranks those unit rows.
     """
     tris = triangles(g)
-    a2 = _dim_a2(g, tris)
-    jobs, private = _shared_rows(g.n, tris)
+    pair_count = _pair_counts(tris)
+    a2 = _dim_a2(g, tris, pair_count)
+    jobs, private, units = _shared_rows(g.n, tris, pair_count)
     # streamed: each row is built when the elimination reads it, never all at once
     span, ideal = rank._eliminate(
-        [_span_f3_row_stream(jobs), ({t.labels: 1} for t in tris)], None
+        [_span_f3_row_stream(jobs), ({labels: 1} for labels in units)], None
     )
-    return len(tris), a2, private + span, private + ideal
+    return len(tris), a2, private + span, private + ideal + len(tris) - len(units)
 
 
 def dim_a2(g: SignedGraph) -> int:
     """Degree-2 algebra dimension C(n,2) - #triangles, rank-checked; needs a B2-free graph."""
     if g.contains_b2():
         raise B2Present("dim A^2 by triangle count needs a graph with no B2 sub-arrangement")
-    return _dim_a2(g, triangles(g))
+    return dim_a2_rank(g)
 
 
 def dim_a2_rank(g: SignedGraph) -> int:
     """Degree-2 algebra dimension from the exact boundary-row rank; any graph."""
-    return _dim_a2(g, triangles(g))
+    tris = triangles(g)
+    return _dim_a2(g, tris, _pair_counts(tris))
 
 
 def rank_i3_2(g: SignedGraph) -> int:

@@ -67,34 +67,36 @@ class SignedGraph:
         if ell < 0:
             raise VertexOutOfRange(f"vertex count must be nonnegative, got {ell}")
         normalized = []
-        seen = set()
+        # the label maps double as the duplicate check: tuple keys hash faster than Edge
+        self._sign_label: dict[tuple[int, int, int], int] = {}  # (i, j, sign) -> label
+        self._loop_label: dict[int, int] = {}
         for label, e in enumerate(edges, start=1):
-            if e.kind not in (POS, NEG, LOOP):
-                raise ValueError(f"edge {label}: unknown kind {e.kind!r}")
-            if not (1 <= e.i <= ell and 1 <= e.j <= ell):
-                raise VertexOutOfRange(f"endpoints {e.pair} outside 1..{ell}", label)
-            if e.is_loop:
-                e = Edge(LOOP, e.i, e.i)
+            kind, i, j = e.kind, e.i, e.j
+            if kind not in (POS, NEG, LOOP):
+                raise ValueError(f"edge {label}: unknown kind {kind!r}")
+            if not (1 <= i <= ell and 1 <= j <= ell):
+                raise VertexOutOfRange(f"endpoints {(i, j)} outside 1..{ell}", label)
+            if kind == LOOP:
+                if j != i:
+                    e = Edge(LOOP, i, i)
+                if i in self._loop_label:
+                    raise DuplicateEdge(f"duplicate {kind!r} edge at {(i, i)}", label)
+                self._loop_label[i] = label
             else:
-                if e.i == e.j:
-                    raise SelfPairEdge(f"signed edge from vertex {e.i} to itself", label)
-                if e.i > e.j:
-                    e = Edge(e.kind, e.j, e.i)
-            if e in seen:
-                raise DuplicateEdge(f"duplicate {e.kind!r} edge at {e.pair}", label)
-            seen.add(e)
+                if i == j:
+                    raise SelfPairEdge(f"signed edge from vertex {i} to itself", label)
+                if i > j:
+                    i, j = j, i
+                    e = Edge(kind, i, j)
+                key = (i, j, 1 if kind == POS else -1)
+                if key in self._sign_label:
+                    raise DuplicateEdge(f"duplicate {kind!r} edge at {(i, j)}", label)
+                self._sign_label[key] = label
             normalized.append(e)
 
         self.ell = ell
         self.edges: tuple[Edge, ...] = tuple(normalized)
         self.n = len(self.edges)
-        self._sign_label: dict[tuple[int, int, int], int] = {}  # (i, j, sign) -> label
-        self._loop_label: dict[int, int] = {}
-        for label, e in enumerate(self.edges, start=1):
-            if e.is_loop:
-                self._loop_label[e.i] = label
-            else:
-                self._sign_label[(e.i, e.j, e.sign)] = label
 
     # -- basic accessors ------------------------------------------------
 

@@ -1,4 +1,7 @@
-from math import comb
+import hashlib
+import itertools
+import random
+from math import comb, gcd
 
 import pytest
 import sympy
@@ -35,7 +38,13 @@ from falk3 import (
     wedge,
 )
 from falk3 import algebra, rank
-from helpers import b2_graph, graphs_with_sigma, signed_graphs, triangles_by_triples
+from helpers import (
+    b2_graph,
+    graph_from_states,
+    graphs_with_sigma,
+    signed_graphs,
+    triangles_by_triples,
+)
 
 
 def test_boundary_of_a_triple():
@@ -181,6 +190,79 @@ def test_rank_route_refuses_a_normal_with_three_entries():
     normals = [((1, 1), (2, -1)), ((1, 1), (2, 1), (3, 1))]
     with pytest.raises(InternalKindMismatch, match="label 2: normal has 3 nonzero entries"):
         algebra._rank_triples(normals)
+
+
+def _closing_normal(u, v):
+    """For u on the vertices sp and v on sq, the normal on pq that lies in their
+    plane, made primitive; None if u and v share no single vertex or an entry
+    falls outside {+-1, +-2}."""
+    du, dv = dict(u), dict(v)
+    shared = du.keys() & dv.keys()
+    if len(du) != 2 or len(dv) != 2 or len(shared) != 1:
+        return None
+    (s,) = shared
+    (p,) = du.keys() - shared
+    (q,) = dv.keys() - shared
+    a, b = dv[s] * du[p], -du[s] * dv[q]  # dv[s] u - du[s] v, which is 0 at s
+    d = gcd(a, b)
+    if max(abs(a), abs(b)) > 2 * d:
+        return None
+    return ((p, a // d), (q, b // d))
+
+
+@st.composite
+def normal_lists(draw):
+    """Up to 12 normals on up to 6 vertices, 1-2 nonzero entries in {+-1, +-2}.
+
+    Parallel pairs (same support, same ratio) are allowed; about half the
+    lists skip any normal parallel to an earlier one, so that dependent
+    triples, not the parallel check, decide the outcome.  Up to 3 normals
+    close a dependent triple on 3 vertices, which random draws rarely make;
+    at least one does whenever some pair of drawn normals has one (`_closing_normal`).
+    """
+    ell = draw(st.integers(1, 6))
+    skip_parallel = draw(st.booleans())
+    coeff = st.sampled_from((1, -1, 2, -2))
+    drawn = []
+    for _ in range(draw(st.integers(0, 9))):
+        support = draw(st.lists(st.integers(1, ell), min_size=1, max_size=2, unique=True))
+        drawn.append(tuple((x, draw(coeff)) for x in support))
+    closing = [w for u, v in itertools.combinations(drawn, 2) if (w := _closing_normal(u, v))]
+    for _ in range(draw(st.integers(1, 3)) if closing else 0):
+        drawn.insert(draw(st.integers(0, len(drawn))), draw(st.sampled_from(closing)))
+    out = []
+    for u in drawn:
+        if not (skip_parallel and any(_brute_force_rank([u, v], (1, 2)) <= 1 for v in out)):
+            out.append(u)
+    return out
+
+
+def _brute_force_rank(normals, labels):
+    vertices = sorted({x for k in labels for x, _c in normals[k - 1]})
+    col = {x: i for i, x in enumerate(vertices)}
+    rows = []
+    for k in labels:
+        row = [0] * len(vertices)
+        for x, c in normals[k - 1]:
+            row[col[x]] = c
+        rows.append(row)
+    return bigint_rank(rows)
+
+
+@given(normal_lists())
+@settings(max_examples=400, deadline=None)
+def test_rank_route_matches_brute_force_ranks(normals):
+    labels = range(1, len(normals) + 1)
+    rank1 = [p for p in itertools.combinations(labels, 2) if _brute_force_rank(normals, p) <= 1]
+    if rank1:
+        ku, kv = min(rank1)
+        with pytest.raises(InternalKindMismatch, match=rf"^labels {ku} and {kv} have parallel normals$"):
+            algebra._rank_triples(normals)
+    else:
+        expected = {
+            t for t in itertools.combinations(labels, 3) if _brute_force_rank(normals, t) <= 2
+        }
+        assert algebra._rank_triples(normals) == expected
 
 
 def _reference_span_rows(g, tris):
@@ -348,10 +430,21 @@ def test_rank_side_eliminates_only_rows_without_a_private_column(monkeypatch, hu
     monkeypatch.setattr(rank, "_eliminate", counting_eliminate)
     count, _a2, span, ideal = algebra.rank_side(hub4)
     assert (count, span, ideal) == (12, 83, 95)
-    assert len(calls) == 2  # the degree-2 check, then one degree-3 pass
-    span_rows, unit_rows = calls[1]
+    # B2-free: every boundary row and every unit row has a private column,
+    # so the one elimination is the degree-3 pass over the shared span rows
+    assert len(calls) == 1
+    span_rows, unit_rows = calls[0]
     assert span_rows < count * (hub4.n - 3) == 96
-    assert unit_rows == count
+    assert unit_rows == 0
+
+    calls.clear()
+    g = complete_doubled(4, loops=(1, 2))
+    assert algebra.rank_side(g) == (24, comb(14, 2) - 24 + 1, 212, 232)
+    # the degree-2 elimination still runs, on the 4 rows of the B2 flat only,
+    # and the degree-3 pass takes only the unit rows of those 4 triangles
+    assert len(calls) == 2
+    assert calls[0] == [4]
+    assert calls[1][1] == 4
 
 
 def test_ideal_dim_is_not_span_plus_triangles_with_b2():
@@ -372,3 +465,40 @@ def test_rows_to_matrix_shape(looped_wedge):
     m = rows_to_matrix(span_f3_rows(looped_wedge))
     assert m.shape[0] == 12
     assert rows_to_matrix([]).shape == (0, 0)
+
+
+def _random_b2_graphs(count, seed):
+    """`count` graphs with B2 on 2-6 vertices, drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        ell = rng.randint(2, 6)
+        states = [rng.randrange(4) for _ in range(ell * (ell - 1) // 2)]
+        g = graph_from_states(ell, states, [rng.random() < 0.5 for _ in range(ell)])
+        if g.contains_b2():
+            out.append(g)
+    return out
+
+
+# sha256 over rank_side(g) and the (labels, kind) of triangles(g), one line per
+# graph, for enumerate_all(3), then doubled and all-positive K3-K5 with loops
+# (), (1,), (1, 2) and every vertex, then _random_b2_graphs(200, seed=12);
+# recorded with the earlier rank side (a rank route that keyed every touching
+# label pair, and eliminations over every boundary and unit row), so the pin
+# compares the current one against an independent implementation.
+_RANK_SIDE_SHA256 = "82a69f54b5bb3039c53e26de237ebcb2ca760581a803a9ce91b85ddea29f2031"
+
+
+def test_rank_side_is_pinned_by_value():
+    graphs = list(enumerate_all(3))
+    for ell in (3, 4, 5):
+        for loops in ((), (1,), (1, 2), tuple(range(1, ell + 1))):
+            graphs += [complete_doubled(ell, loops), complete_positive(ell, loops)]
+    graphs += _random_b2_graphs(200, seed=12)
+    h = hashlib.sha256()
+    for g in graphs:
+        tris = [(t.labels, t.kind) for t in triangles(g)]
+        h.update(f"{algebra.rank_side(g)} {tris}\n".encode())
+    # raise, not assert: the pin must hold under python -O too
+    if len(graphs) != 651 or h.hexdigest() != _RANK_SIDE_SHA256:
+        raise AssertionError(f"rank side of {len(graphs)} graphs hashes to {h.hexdigest()}")

@@ -267,13 +267,15 @@ def test_verify_goes_through_build_report_only(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("one_pass", ["build_report", "phi3_oracle"])
-def test_build_report_runs_two_eliminations(monkeypatch, one_pass):
-    # the degree-2 check, then one degree-3 pass for both dim span F3 and dim I3_2
+def test_build_report_runs_one_elimination(monkeypatch, one_pass):
+    # B2-free: every boundary row and every unit row has a private column, so
+    # the one elimination is the degree-3 pass over the shared span rows
     calls = []
     eliminate = rank._eliminate
 
     def counting_eliminate(groups, p):
-        calls.append(p)
+        groups = [list(rows) for rows in groups]
+        calls.append((p, [len(rows) for rows in groups]))
         return eliminate(groups, p)
 
     monkeypatch.setattr(rank, "_eliminate", counting_eliminate)
@@ -282,7 +284,10 @@ def test_build_report_runs_two_eliminations(monkeypatch, one_pass):
         assert (report.dim_span_F3, report.dim_I3_2, report.agreement) == (83, 95, True)
     else:
         assert phi3_oracle(hub4_mixed()) == 37
-    assert calls == [None, None]
+    assert len(calls) == 1
+    p, (_span_rows, unit_rows) = calls[0]
+    assert p is None
+    assert unit_rows == 0
 
 
 @given(signed_graphs(max_ell=5, allow_b2=True))

@@ -109,3 +109,31 @@ def test_census_and_rank_routes_import_nothing_from_each_other():
     ]
     if found:
         raise AssertionError(f"the two routes import each other: {', '.join(found)}")
+
+
+def test_rank_route_reads_only_the_normals():
+    # the rank route checks the pattern route only while it never reads the
+    # graph's label maps, its vertex triangles or the census
+    forbidden = {
+        "_pattern_triangles", "_vertex_triangles", "_neighbours", "_sign_label", "_loop_label", "census",
+    }
+    trees = {path.name: tree for path, tree in _modules()}
+    route = next(
+        node
+        for node in ast.walk(trees["algebra.py"])
+        if isinstance(node, ast.FunctionDef) and node.name == "_rank_triples"
+    )
+    named = set()
+    for node in ast.walk(route):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.update({node.name, node.asname} - {None})
+        elif isinstance(node, ast.ImportFrom):
+            named.update((node.module or "").split("."))  # from .census import x
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            named.add(node.value)  # getattr(g, "_sign_label") names it too
+    if named & forbidden:
+        raise AssertionError(f"_rank_triples names {sorted(named & forbidden)}")
