@@ -1,7 +1,8 @@
 """Degree-2/3 exterior algebra rows and the rank-based invariant oracle.
 
-Monomials e_S are keyed by ascending tuples of hyperplane labels; sparse
-vectors are plain dicts mapping tuple -> integer coefficient.  A "triangle"
+Monomials e_S are keyed by ascending tuples of hyperplane labels (the
+degree-3 pass uses int keys, see below); sparse vectors are plain dicts
+mapping key -> integer coefficient.  A "triangle"
 is a dependent label triple, i.e. three hyperplanes of rank 2.  Every such
 triple is one of three local patterns (k3, d21, k22), which `triangles()`
 reads straight off the graph.  An exact check runs beside it on every call:
@@ -10,13 +11,19 @@ Every normal has 1 or 2 nonzero entries, so a dependent triple lies on 2
 vertices (a coordinate plane) or is one normal on each pair of 3 vertices,
 where one lookup of a primitive direction decides it (see there).
 
-`rank_side` is the one rank-side pass per graph: triangles once, then the
-rows that need it are eliminated exactly.  dim A^2 is the boundary-row
-rank.  The degree-3 pass takes the rows e_t ^ boundary(e_T) with t outside
-T (span F3) first, then the unit rows +-e_T that t inside T gives (I3_2);
-span rows are built from four sign patterns and streamed in, never all
-alive at once.  `ideal3_rows`, `wedge` and `boundary` keep the full
-generating set as the reference definition the tests rank against.
+`rank_side` is the one rank-side pass per graph: triangles once, as plain
+label triples, then the rows that need it are eliminated exactly.  dim A^2
+is the boundary-row rank.  The degree-3 pass takes the rows e_t ^
+boundary(e_T) with t outside T (span F3) first, then the unit rows +-e_T
+that t inside T gives (I3_2); span rows are built from four sign patterns
+and streamed in, never all alive at once.  In that pass the monomial e_xyz
+(x < y < z) is keyed by the int (x * N + y) * N + z with N = n + 1: every
+label is below N, so the key is xyz written in base N, and the keys sort
+as the tuples do.  The elimination takes the least key of a row as its
+lead, so it picks the same pivots as on tuple keys; an int hashes and
+compares faster than a tuple.  `ideal3_rows`, `span_f3_rows`, `wedge` and
+`boundary` keep the tuple-keyed generating set as the reference definition
+the tests rank against.
 
 Rows with a private column are counted, not eliminated.  If a column of a
 row set is nonzero in one row only, any vanishing combination gives that
@@ -50,7 +57,7 @@ from math import comb, gcd
 
 from . import rank
 from .errors import B2Present, InternalKindMismatch, RankMismatch
-from .graphs import Edge, SignedGraph
+from .graphs import LOOP, POS, Edge, SignedGraph
 # bigint_rank stays a module attribute: perfbench/spans.py wraps algebra.bigint_rank
 from .rank import bigint_rank, exact_rank  # noqa: F401
 
@@ -96,30 +103,35 @@ def _pattern_triangles(g: SignedGraph) -> dict[tuple[int, int, int], str]:
     """Pattern route: every triangle read off the graph's label maps, with its kind."""
     signed, looped = g._sign_label, g._loop_label
     found = {}
-    for a, b, c in g._vertex_triangles():
+    for a, b, c in g._vertex_triangles:
         for s_ab in (1, -1):
             l_ab = signed.get((a, b, s_ab))
             if l_ab is None:
                 continue
             for s_bc in (1, -1):
                 l_bc = signed.get((b, c, s_bc))
+                if l_bc is None:
+                    continue
                 # balanced: the sign on ac is the product of the other two
                 l_ac = signed.get((a, c, s_ab * s_bc))
-                if l_bc is not None and l_ac is not None:
+                if l_ac is not None:
                     found[tuple(sorted((l_ab, l_bc, l_ac)))] = "k3"
     for (i, j, s), label in signed.items():
-        loops = [looped[v] for v in (i, j) if v in looped]
+        li, lj = looped.get(i), looped.get(j)
+        if li is None and lj is None:
+            continue
         if s == 1 and (i, j, -1) in signed:
-            for lv in loops:
-                found[tuple(sorted((label, signed[(i, j, -1)], lv)))] = "d21"
-        if len(loops) == 2:
-            found[tuple(sorted((label, *loops)))] = "k22"
+            for lv in (li, lj):
+                if lv is not None:
+                    found[tuple(sorted((label, signed[(i, j, -1)], lv)))] = "d21"
+        if li is not None and lj is not None:
+            found[tuple(sorted((label, li, lj)))] = "k22"
     return found
 
 
 def _normal(e: Edge) -> tuple[tuple[int, int], ...]:
     """Sparse integer normal of an edge's hyperplane as (vertex, coefficient) items."""
-    return ((e.i, 1),) if e.is_loop else ((e.i, 1), (e.j, -e.sign))
+    return ((e.i, 1),) if e.kind == LOOP else ((e.i, 1), (e.j, -1 if e.kind == POS else 1))
 
 
 def _rank_triples(normals) -> set[tuple[int, int, int]]:
@@ -129,7 +141,11 @@ def _rank_triples(normals) -> set[tuple[int, int, int]]:
     do; any other raises InternalKindMismatch.  Two normals are parallel
     exactly when they have the same support and the same primitive
     direction (first entry positive), so one index finds every parallel
-    pair; of several, the least is reported.
+    pair; of several, the least is reported.  A normal of two nonzero
+    entries on two vertices is unpacked as it is; any other one (a loop, a
+    zero entry, a repeated vertex) first drops its zero entries.  A
+    direction whose first entry is 1 is primitive already, so gcd runs only
+    when it is not: never on graph normals, where every entry is +-1.
 
     With no two normals parallel, a dependent triple has rank exactly 2, and
     each of its normals is a combination of the other two with both
@@ -154,18 +170,27 @@ def _rank_triples(normals) -> set[tuple[int, int, int]]:
     lines: dict[tuple, list[int]] = {}  # (vertex,) for a loop, else (s, p, a, b) -> labels
     up: dict[int, list[tuple[int, int, int, int]]] = {}  # s -> (p, label, alpha, beta), p > s
     for k, normal in enumerate(normals, start=1):
-        u = {x: c for x, c in normal if c}
-        if len(u) == 1:
-            lines.setdefault(tuple(u), []).append(k)
-            continue
-        if len(u) != 2:
-            raise InternalKindMismatch(
-                f"label {k}: normal has {len(u)} nonzero entries; the rank route needs 1 or 2"
-            )
-        (s, a), (p, b) = sorted(u.items())
+        if len(normal) == 2 and normal[0][1] and normal[1][1] and normal[0][0] != normal[1][0]:
+            (s, a), (p, b) = normal
+            if s > p:
+                s, a, p, b = p, b, s, a
+        else:
+            u = {x: c for x, c in normal if c}
+            if len(u) == 1:
+                lines.setdefault(tuple(u), []).append(k)
+                continue
+            if len(u) != 2:
+                raise InternalKindMismatch(
+                    f"label {k}: normal has {len(u)} nonzero entries; the rank route needs 1 or 2"
+                )
+            (s, a), (p, b) = sorted(u.items())
         up.setdefault(s, []).append((p, k, a, b))
-        d = gcd(a, b) if a > 0 else -gcd(a, b)
-        lines.setdefault((s, p, a // d, b // d), []).append(k)
+        if a < 0:
+            a, b = -a, -b
+        if a != 1:  # a direction (1, b) is primitive already
+            d = gcd(a, b)
+            a, b = a // d, b // d
+        lines.setdefault((s, p, a, b), []).append(k)
     parallel = [tuple(ks[:2]) for ks in lines.values() if len(ks) > 1]
     if parallel:
         ku, kv = min(parallel)
@@ -186,11 +211,28 @@ def _rank_triples(normals) -> set[tuple[int, int, int]]:
                 if q == p:
                     continue
                 a, b = gamma * beta, -alpha * delta
-                d = gcd(a, b) if a > 0 else -gcd(a, b)
-                w = lines.get((p, q, a // d, b // d))
+                if a < 0:
+                    a, b = -a, -b
+                if a != 1:
+                    d = gcd(a, b)
+                    a, b = a // d, b // d
+                w = lines.get((p, q, a, b))
                 if w:
                     found.add(tuple(sorted((ku, kv, w[0]))))
     return found
+
+
+def _checked_triangles(g: SignedGraph) -> dict[tuple[int, int, int], str]:
+    """Every dependent label triple with its kind, found by both routes (see `triangles`)."""
+    kinds = _pattern_triangles(g)
+    dependent = _rank_triples([_normal(e) for e in g.edges])
+    if dependent != kinds.keys():
+        triple = min(dependent ^ kinds.keys())
+        raise InternalKindMismatch(
+            f"triple {triple}: rank route says dependent={triple in dependent}, "
+            f"pattern route says kind={kinds.get(triple)}"
+        )
+    return kinds
 
 
 def triangles(g: SignedGraph) -> list[Triangle]:
@@ -202,14 +244,7 @@ def triangles(g: SignedGraph) -> list[Triangle]:
     differ, InternalKindMismatch names a triple found by one route only (it
     cannot happen for graphs in this edge model, and is kept as a check).
     """
-    kinds = _pattern_triangles(g)
-    dependent = _rank_triples([_normal(e) for e in g.edges])
-    if dependent != kinds.keys():
-        triple = min(dependent ^ kinds.keys())
-        raise InternalKindMismatch(
-            f"triple {triple}: rank route says dependent={triple in dependent}, "
-            f"pattern route says kind={kinds.get(triple)}"
-        )
+    kinds = _checked_triangles(g)
     return [Triangle(t, kinds[t]) for t in sorted(kinds)]
 
 
@@ -230,58 +265,75 @@ def ideal3_rows(g: SignedGraph) -> list[dict]:
     return rows
 
 
-def _span_f3_row_stream(jobs):
-    """Yield e_t ^ boundary(e_abc) for each job ((a, b, c), ts) and each t in ts.
+def span_f3_rows(g: SignedGraph) -> list[dict]:
+    """Rows e_t ^ boundary(e_T) with t outside the triangle T."""
+    rows = []
+    for tri in triangles(g):
+        b = boundary(tri.labels)
+        rows += [wedge(t, b) for t in range(1, g.n + 1) if t not in tri.labels]
+    return rows
 
-    No t may lie in abc.  boundary(e_abc) = e_bc - e_ac + e_ab, and inserting
-    t into each monomial costs the sign (-1)^(labels before t), so each row
-    is one of four fixed three-entry patterns, by where t falls against
-    a < b < c.  Rows come in job order, then in the order of ts.
+
+def _span_f3_row_stream(jobs, base: int):
+    """Yield e_t ^ boundary(e_abc) for each job ((a, b, c), ts), one row for
+    each label t in the bitmask ts (bit t stands for label t), ascending.
+
+    No t may lie in abc.  The monomial e_xyz (x < y < z) is keyed by the int
+    (x * base + y) * base + z, with every label below base: the digits of xyz
+    in base `base`, so the keys sort as the tuples do.  boundary(e_abc) =
+    e_bc - e_ac + e_ab, and inserting t into each monomial costs the sign
+    (-1)^(labels before t), so each row is one of four fixed three-entry
+    patterns, by where t falls against a < b < c.
     """
+    sq = base * base
     for (a, b, c), ts in jobs:
-        for t in ts:
+        ab, ac, bc = a * base + b, a * base + c, b * base + c
+        while ts:
+            low = ts & -ts
+            t = low.bit_length() - 1
+            ts ^= low
             if t < a:
-                yield {(t, b, c): 1, (t, a, c): -1, (t, a, b): 1}
+                yield {t * sq + bc: 1, t * sq + ac: -1, t * sq + ab: 1}
             elif t < b:
-                yield {(t, b, c): 1, (a, t, c): 1, (a, t, b): -1}
+                yield {t * sq + bc: 1, (a * base + t) * base + c: 1, (a * base + t) * base + b: -1}
             elif t < c:
-                yield {(b, t, c): -1, (a, t, c): 1, (a, b, t): 1}
+                yield {(b * base + t) * base + c: -1, (a * base + t) * base + c: 1, ab * base + t: 1}
             else:
-                yield {(b, c, t): 1, (a, c, t): -1, (a, b, t): 1}
+                yield {bc * base + t: 1, ac * base + t: -1, ab * base + t: 1}
 
 
 def _pair_counts(tris) -> dict[tuple[int, int], int]:
     """How many triangles hold each label pair that some triangle holds."""
     count: dict[tuple[int, int], int] = {}
-    for tri in tris:
-        a, b, c = tri.labels
+    for a, b, c in tris:
         for pair in ((a, b), (a, c), (b, c)):
             count[pair] = count.get(pair, 0) + 1
     return count
 
 
 def _shared_rows(n: int, tris, pair_count) -> tuple[list, int, list]:
-    """The degree-3 rows with no private column: span-F3 row-stream jobs, the
-    count of span rows left out, and the triangles whose unit row is kept.
+    """The degree-3 rows with no private column: span-F3 row-stream jobs (a
+    triangle and the bitmask of its kept t), the count of span rows left
+    out, and the triangles whose unit row is kept.
 
     The column {t, x, y} of row e_t ^ boundary(e_T) is shared when another
     triangle holds the pair xy, or t shares a triangle with x or y; the unit
     row e_T is shared when another triangle holds a pair of T (see the module
-    docstring).  Only the t whose three columns are all shared get a job.
+    docstring).  Only the t whose three columns are all shared are kept.
     Label sets are bitmasks: bit t stands for label t.
     """
     partners: dict[int, int] = {}  # label -> the labels of its triangles
     for tri in tris:
-        a, b, c = tri.labels
+        a, b, c = tri
         mask = 1 << a | 1 << b | 1 << c
-        for x in tri.labels:
+        for x in tri:
             partners[x] = partners.get(x, 0) | mask
     every = (1 << n + 1) - 2  # labels 1..n
     jobs = []
     units = []
     private = 0
     for tri in tris:
-        a, b, c = labels = tri.labels
+        a, b, c = tri
         near = every & ~(1 << a | 1 << b | 1 << c)
         alone = 0
         for x, y in ((b, c), (a, c), (a, b)):
@@ -289,21 +341,11 @@ def _shared_rows(n: int, tris, pair_count) -> tuple[list, int, list]:
                 near &= partners[x] | partners[y]
                 alone += 1
         if alone < 3:
-            units.append(labels)
-        ts = []
-        while near:  # set bits, ascending: one step per row kept
-            low = near & -near
-            ts.append(low.bit_length() - 1)
-            near ^= low
-        private += n - 3 - len(ts)
-        jobs.append((labels, ts))
+            units.append(tri)
+        private += n - 3 - near.bit_count()
+        if near:
+            jobs.append((tri, near))
     return jobs, private, units
-
-
-def span_f3_rows(g: SignedGraph) -> list[dict]:
-    """Rows e_t ^ boundary(e_T) with t outside the triangle T."""
-    jobs = ((t.labels, [s for s in range(1, g.n + 1) if s not in t.labels]) for t in triangles(g))
-    return list(_span_f3_row_stream(jobs))
 
 
 def rows_to_matrix(rows) -> np.ndarray:
@@ -334,9 +376,9 @@ def _dim_a2(g: SignedGraph, tris, pair_count) -> int:
     """
     shared = []
     for t in tris:
-        a, b, c = t.labels
+        a, b, c = t
         if pair_count[a, b] > 1 and pair_count[a, c] > 1 and pair_count[b, c] > 1:
-            shared.append(boundary(t.labels))
+            shared.append(boundary(t))
     ranked = comb(g.n, 2) - (len(tris) - len(shared)) - (exact_rank(shared) if shared else 0)
     counted = comb(g.n, 2) - len(tris)
     if not g._b2 and ranked != counted:
@@ -355,13 +397,15 @@ def rank_side(g: SignedGraph) -> tuple[int, int, int, int]:
     dim I3_2 = dim span F3 + #triangles; on graphs with B2 some e_T may
     already lie in span F3, and the pass ranks those unit rows.
     """
-    tris = triangles(g)
+    tris = sorted(_checked_triangles(g))
     pair_count = _pair_counts(tris)
     a2 = _dim_a2(g, tris, pair_count)
     jobs, private, units = _shared_rows(g.n, tris, pair_count)
+    base = g.n + 1
     # streamed: each row is built when the elimination reads it, never all at once
     span, ideal = rank._eliminate(
-        [_span_f3_row_stream(jobs), ({labels: 1} for labels in units)], None
+        [_span_f3_row_stream(jobs, base), ({(a * base + b) * base + c: 1} for a, b, c in units)],
+        None,
     )
     return len(tris), a2, private + span, private + ideal + len(tris) - len(units)
 
@@ -375,7 +419,7 @@ def dim_a2(g: SignedGraph) -> int:
 
 def dim_a2_rank(g: SignedGraph) -> int:
     """Degree-2 algebra dimension from the exact boundary-row rank; any graph."""
-    tris = triangles(g)
+    tris = sorted(_checked_triangles(g))
     return _dim_a2(g, tris, _pair_counts(tris))
 
 

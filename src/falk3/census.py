@@ -7,7 +7,6 @@ doubled pair always carries one edge of each sign.
 """
 
 import itertools
-import math
 from dataclasses import asdict, astuple, dataclass
 
 from .errors import B2Present
@@ -52,17 +51,6 @@ class Census:
         return self.k3 + self.d21 + self.k22
 
 
-def _balanced(*sign_sets) -> int:
-    """Number of sign choices, one from each set, whose product is +1.
-
-    A set holding both signs pairs every choice with its negation, so then
-    exactly half of all choices are balanced.
-    """
-    if any(len(signs) == 2 for signs in sign_sets):
-        return math.prod(len(signs) for signs in sign_sets) // 2
-    return int(math.prod(signs[0] for signs in sign_sets) == 1)
-
-
 # A sign choice on K4 is balanced exactly when it is a switching
 # sigma_i sigma_j of the all-positive one.  Fixing sigma_a = 1, each balanced
 # choice comes from one (sigma_b, sigma_c, sigma_d); these are its signs on
@@ -91,9 +79,14 @@ def census(g: SignedGraph) -> Census:
 
     k3 = k4 = d3 = d21 = k22 = k33 = g_circ = d31 = 0
 
-    for a, b, c in g._vertex_triangles():
+    for a, b, c in g._vertex_triangles:
         sab, sbc, sac = signs[(a, b)], signs[(b, c)], signs[(a, c)]
-        balanced = _balanced(sab, sbc, sac)
+        # sign choices, one per pair, with product +1: a pair holding both
+        # signs matches each choice with its negation, so then exactly half
+        if len(sab) == len(sbc) == len(sac) == 1:
+            balanced = int(sab[0] * sbc[0] * sac[0] == 1)
+        else:
+            balanced = len(sab) * len(sbc) * len(sac) // 2
         k3 += balanced
         nloops = (a in looped) + (b in looped) + (c in looped)
         if nloops == 3:

@@ -10,7 +10,7 @@ import functools
 import json
 import sys
 
-from .census import census, phi3_formula
+from .census import census, dim_i3_2_formula, phi3_formula
 from .errors import FalkError
 from .generate import GenConfig, enumerate_all, sample_stream
 from .graph_io import parse_graph, parse_sigma, serialize
@@ -70,10 +70,14 @@ def _cmd_verify(args) -> int:
     first_bad = None
     for g in stream:
         total += 1
-        if build_report(g).agreement:
+        report = build_report(g)
+        if report.agreement:
             agreed += 1
         elif first_bad is None:
-            first_bad = serialize(g)
+            # dim A^2 was checked inside build_report: a mismatch raises RankMismatch
+            closed_form = report.dim_I3_2 != dim_i3_2_formula(g, report.census)
+            broken = "dim I3_2 closed form" if closed_form else "phi3"
+            first_bad = f"broken identity: {broken}\n{serialize(g)}"
     print(f"{agreed}/{total} graphs agree")
     if agreed != total:
         print("first counterexample:")

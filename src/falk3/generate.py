@@ -8,7 +8,7 @@ by ascending vertex.
 import itertools
 from dataclasses import dataclass
 
-from .graphs import SignedGraph, loop, neg, pos
+from .graphs import LOOP, NEG, POS, Edge, SignedGraph
 
 
 @dataclass(frozen=True)
@@ -34,9 +34,10 @@ class GenConfig:
 
 
 def _build(ell, pos_pairs, neg_pairs, loops) -> SignedGraph:
-    edges = [pos(i, j) for i, j in pos_pairs]
-    edges += [neg(i, j) for i, j in neg_pairs]
-    edges += [loop(v) for v in sorted(loops)]
+    """The graph with labels in the module's order; pairs come as ascending (i, j)."""
+    edges = [Edge(POS, i, j) for i, j in pos_pairs]
+    edges += [Edge(NEG, i, j) for i, j in neg_pairs]
+    edges += [Edge(LOOP, v, v) for v in sorted(loops)]
     return SignedGraph(ell, edges)
 
 
@@ -49,6 +50,11 @@ def random_no_b2(cfg: GenConfig, rng=None) -> SignedGraph:
     vertex for its loop, then one integer draw per repair step.  A B2
     pattern is repaired by deleting one uniformly chosen loop of the first
     remaining witness until no witness is left.
+
+    The witnesses are the doubled pairs with both ends looped, first the
+    least pair.  A repair only removes a loop, so it never makes a new
+    witness: one ascending pass over the doubled pairs meets each remaining
+    witness first, and the graph is built once, after the repairs.
     """
     if rng is None:
         import numpy as np
@@ -59,14 +65,13 @@ def random_no_b2(cfg: GenConfig, rng=None) -> SignedGraph:
     draws = rng.random(2 * len(pairs) + cfg.ell).tolist()
     pos_pairs = [p for p, u in zip(pairs, draws[0::2]) if u < cfg.edge_prob_pos]
     neg_pairs = [p for p, u in zip(pairs, draws[1::2]) if u < cfg.edge_prob_neg]
-    loops = [v for v, u in enumerate(draws[2 * len(pairs) :], start=1) if u < cfg.loop_prob]
-    while True:
-        g = _build(cfg.ell, pos_pairs, neg_pairs, loops)
-        witnesses = g.b2_witnesses()
-        if not witnesses:
-            return g
-        looped = sorted(g.edge(k).i for k in witnesses[0] if g.edge(k).is_loop)
-        loops.remove(looped[int(rng.integers(0, 2))])
+    loops = {v for v, u in enumerate(draws[2 * len(pairs) :], start=1) if u < cfg.loop_prob}
+    if loops:
+        negative = set(neg_pairs)
+        for i, j in pos_pairs:
+            if i in loops and j in loops and (i, j) in negative:
+                loops.remove((i, j)[int(rng.integers(0, 2))])
+    return _build(cfg.ell, pos_pairs, neg_pairs, loops)
 
 
 def sample_stream(cfg: GenConfig):

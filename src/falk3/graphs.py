@@ -132,17 +132,21 @@ class SignedGraph:
             adj.setdefault(j, set()).add(i)
         return adj
 
-    def _vertex_triangles(self):
-        """Vertex triples a < b < c joined pairwise by edges, in no fixed order.
+    @cached_property
+    def _vertex_triangles(self) -> list[tuple[int, int, int]]:
+        """Vertex triples a < b < c joined pairwise by edges, in no fixed order;
+        found once, for both the pattern route and the census.
 
         Each is an edge pair a < b plus a common neighbour c > b, so the cost
         grows with the edges, not with the C(ell,3) vertex triples.
         """
         adj = self._neighbours
-        for a, b in dict.fromkeys((i, j) for i, j, _s in self._sign_label):
-            for c in adj[a] & adj[b]:
-                if c > b:
-                    yield a, b, c
+        return [
+            (a, b, c)
+            for a, b in dict.fromkeys((i, j) for i, j, _s in self._sign_label)
+            for c in adj[a] & adj[b]
+            if c > b
+        ]
 
     # -- hyperplane geometry ---------------------------------------------
 

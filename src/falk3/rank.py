@@ -17,8 +17,6 @@ bigint_rank is a separate dense fraction-free elimination; it is the
 independent reference the tests use.
 """
 
-from fractions import Fraction
-
 # Default modulus of modp_rank; a prime, so Z/p is a field.
 SCREEN_PRIME = 2_147_483_647
 
@@ -87,8 +85,14 @@ def _eliminate(groups, p: int | None) -> list[int]:
                     elif p:
                         inv = pow(f, -1, p)
                         pivots[lead] = {k: v * inv % p for k, v in row.items()}
+                    elif f == -1:
+                        pivots[lead] = {k: -v for k, v in row.items()}
                     else:
-                        inv = -1 if f == -1 else Fraction(1, f)  # 1/f, an int for -1
+                        # rare for rows of +-1 entries (some graphs with B2 get here),
+                        # so fractions is imported here, off the start-up path
+                        from fractions import Fraction
+
+                        inv = Fraction(1, f)
                         pivots[lead] = {k: v * inv for k, v in row.items()}
                     break
                 for k, v in pivot.items():

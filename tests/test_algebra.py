@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from falk3 import (
     B2Present,
+    GenConfig,
     InternalKindMismatch,
     RankMismatch,
     SignedGraph,
@@ -33,6 +34,7 @@ from falk3 import (
     pos,
     rank_i3_2,
     rows_to_matrix,
+    sample_stream,
     span_f3_rows,
     triangles,
     wedge,
@@ -160,8 +162,9 @@ def test_parallel_normals_raise():
 
 
 def test_rank_route_keeps_the_pair_of_two_loops():
-    # the pair of loops at 1 and 2 is not keyed itself, but the edge 12 shares a
-    # vertex with each loop, and its two pairs key both loops into the plane 12
+    # loops leave no vertex upwards, so no direction is looked up for them; the
+    # edge 12 opens the coordinate-plane group of 12, which takes in the loops at
+    # both of its vertices
     normals = [((1, 1),), ((2, 1),), ((1, 1), (2, -1))]
     assert algebra._rank_triples(normals) == {(1, 2, 3)}
     assert algebra._rank_triples(normals[:2]) == set()
@@ -192,11 +195,23 @@ def test_rank_route_refuses_a_normal_with_three_entries():
         algebra._rank_triples(normals)
 
 
+@pytest.mark.parametrize("zero_entry_first", [False, True])
+def test_rank_route_reads_a_zero_entry_as_absent(zero_entry_first):
+    # a two-entry normal with a zero entry is a loop, in either entry order
+    loop_at_2 = ((1, 0), (2, 1)) if zero_entry_first else ((2, 1), (1, 0))
+    normals = [loop_at_2, ((1, 1),), ((1, 1), (2, -1))]
+    assert algebra._rank_triples(normals) == {(1, 2, 3)}
+    with pytest.raises(InternalKindMismatch, match="labels 1 and 4 have parallel normals"):
+        algebra._rank_triples(normals + [((2, -2),)])
+    with pytest.raises(InternalKindMismatch, match="label 2: normal has 0 nonzero entries"):
+        algebra._rank_triples([loop_at_2, ((1, 0),)])
+
+
 def _closing_normal(u, v):
     """For u on the vertices sp and v on sq, the normal on pq that lies in their
     plane, made primitive; None if u and v share no single vertex or an entry
     falls outside {+-1, +-2}."""
-    du, dv = dict(u), dict(v)
+    du, dv = {x: c for x, c in u if c}, {x: c for x, c in v if c}
     shared = du.keys() & dv.keys()
     if len(du) != 2 or len(dv) != 2 or len(shared) != 1:
         return None
@@ -212,7 +227,9 @@ def _closing_normal(u, v):
 
 @st.composite
 def normal_lists(draw):
-    """Up to 12 normals on up to 6 vertices, 1-2 nonzero entries in {+-1, +-2}.
+    """Up to 12 normals on up to 6 vertices, 1-2 entries in {+-1, +-2}, in
+    either vertex order; in about half the lists an entry may also be 0, so
+    that a normal may have 1 nonzero entry out of 2, or none.
 
     Parallel pairs (same support, same ratio) are allowed; about half the
     lists skip any normal parallel to an earlier one, so that dependent
@@ -222,7 +239,7 @@ def normal_lists(draw):
     """
     ell = draw(st.integers(1, 6))
     skip_parallel = draw(st.booleans())
-    coeff = st.sampled_from((1, -1, 2, -2))
+    coeff = st.sampled_from((1, -1, 2, -2) + ((0,) if draw(st.booleans()) else ()))
     drawn = []
     for _ in range(draw(st.integers(0, 9))):
         support = draw(st.lists(st.integers(1, ell), min_size=1, max_size=2, unique=True))
@@ -253,8 +270,14 @@ def _brute_force_rank(normals, labels):
 @settings(max_examples=400, deadline=None)
 def test_rank_route_matches_brute_force_ranks(normals):
     labels = range(1, len(normals) + 1)
+    nonzero = [sum(1 for _x, c in u if c) for u in normals]
     rank1 = [p for p in itertools.combinations(labels, 2) if _brute_force_rank(normals, p) <= 1]
-    if rank1:
+    bad = [k for k in labels if nonzero[k - 1] not in (1, 2)]
+    if bad:
+        k = bad[0]
+        with pytest.raises(InternalKindMismatch, match=rf"^label {k}: normal has {nonzero[k - 1]} nonzero"):
+            algebra._rank_triples(normals)
+    elif rank1:
         ku, kv = min(rank1)
         with pytest.raises(InternalKindMismatch, match=rf"^labels {ku} and {kv} have parallel normals$"):
             algebra._rank_triples(normals)
@@ -276,6 +299,19 @@ def _assert_span_rows_match_reference(g):
     rows = span_f3_rows(g)
     assert rows == _reference_span_rows(g, tris)
     assert all(len(row) == 3 and set(row.values()) <= {1, -1} for row in rows)
+    # the elimination's rows: the same, with e_xyz keyed by (x*base + y)*base + z,
+    # and the int keys sort as the tuples do, so it picks the same pivots
+    base = g.n + 1
+    every = (1 << base) - 2
+    jobs = [(t.labels, every & ~sum(1 << x for x in t.labels)) for t in tris]
+    streamed = list(algebra._span_f3_row_stream(jobs, base))
+
+    def digits(k):
+        return (k // base // base, k // base % base, k % base)
+
+    assert [{digits(k): v for k, v in row.items()} for row in streamed] == rows
+    keys = sorted({k for row in streamed for k in row})
+    assert [digits(k) for k in keys] == sorted(map(digits, keys))
 
 
 @given(signed_graphs(max_ell=5, allow_b2=True))
@@ -339,6 +375,35 @@ def test_dim_a2_rank_handles_b2():
 
 def test_dim_a2_of_edgeless_graph():
     assert dim_a2(SignedGraph(2, [])) == 0
+
+
+def _assert_dim_a2_is_the_full_boundary_rank(g):
+    # every boundary row ranked, none counted as private: independent of the
+    # private-column rule that dim_a2_rank uses, which leaves no row to rank
+    # on a B2-free graph
+    rows = [boundary(t.labels) for t in triangles(g)]
+    expected = comb(g.n, 2) - exact_rank(rows)
+    assert dim_a2_rank(g) == expected
+    if len(rows) <= 60:
+        assert bigint_rank(rows_to_matrix(rows)) == comb(g.n, 2) - expected
+
+
+@given(signed_graphs(max_ell=5, allow_b2=True))
+@settings(max_examples=60, deadline=None)
+def test_dim_a2_is_the_full_boundary_rank_on_random_graphs(g):
+    _assert_dim_a2_is_the_full_boundary_rank(g)
+
+
+@pytest.mark.parametrize("loops", [(), (1,), (1, 2), (1, 2, 3), "all"])
+@pytest.mark.parametrize("ell", [3, 4, 5, 6])
+def test_dim_a2_is_the_full_boundary_rank_on_doubled(ell, loops):
+    loops = tuple(range(1, ell + 1)) if loops == "all" else loops
+    _assert_dim_a2_is_the_full_boundary_rank(complete_doubled(ell, loops=loops))
+
+
+def test_dim_a2_is_the_full_boundary_rank_on_a_seven_vertex_sample():
+    for g in sample_stream(GenConfig(ell=7, seed=5, samples=40)):
+        _assert_dim_a2_is_the_full_boundary_rank(g)
 
 
 def test_span_matches_sympy(looped_wedge, doubled_triangle_loop):

@@ -23,7 +23,7 @@ from falk3 import (
     pos,
     serialize,
 )
-from falk3 import algebra, build_report, cli, rank
+from falk3 import algebra, build_report, cli, rank, report
 from falk3.cli import main
 from falk3.errors import FalkError
 from helpers import hub4_mixed, signed_graphs
@@ -248,6 +248,22 @@ def test_verify_sampled(capsys):
     assert capsys.readouterr().out.strip() == "25/25 graphs agree"
 
 
+@pytest.mark.parametrize(
+    "off_by_one, broken",
+    [(("phi3_formula",), "phi3"), (("phi3_formula", "dim_i3_2_formula"), "dim I3_2 closed form")],
+)
+def test_verify_names_the_broken_identity(monkeypatch, capsys, off_by_one, broken):
+    # the report's census formula off by one makes every graph disagree; the
+    # dim I3_2 closed form is named when it disagrees with the rank side too
+    modules = {"phi3_formula": report, "dim_i3_2_formula": cli}
+    for name in off_by_one:
+        real = getattr(modules[name], name)
+        monkeypatch.setattr(modules[name], name, lambda *args, real=real: real(*args) + 1)
+    assert main(["verify", "--vertices", "2", "--exhaustive"]) == 2
+    out = capsys.readouterr().out
+    assert out == f"0/15 graphs agree\nfirst counterexample:\nbroken identity: {broken}\nvertices 2\n"
+
+
 def test_verify_goes_through_build_report_only(monkeypatch, capsys):
     # one pass per graph, shared with compute; never the oracle on its own
     reports = []
@@ -303,15 +319,16 @@ def test_phi3_oracle_is_the_report_oracle_on_every_graph(g):
         (SignedGraph(400, [pos(1, 2)]), 0, 0),
         (SignedGraph(120, [pos(i, i + 1) for i in range(1, 120)]), 0, 0),
         (SignedGraph(3000, [pos(i, i + 1) for i in range(1, 3000)]), 0, 0),
-        # one k22 per edge, and no pair of loops is keyed
+        # one k22 per edge; loops join only the coordinate-plane groups of their edges
         (SignedGraph(1000, [pos(i, i + 1) for i in range(1, 1000)] + [loop(v) for v in range(1, 1001)]),
          999, 2 * 999),
     ],
     ids=["one-edge-400", "path-120", "path-3000", "looped-path-1000"],
 )
 def test_build_report_cost_follows_the_edges(g, triangle_count, phi3):
-    # triples and 4-sets are reached through edges, never through C(ell,3) vertex triples,
-    # and the rank route keys only label pairs that share a vertex
+    # triples and 4-sets are reached through edges, never through C(ell,3) vertex
+    # triples; the rank route groups the normals of each coordinate plane and looks
+    # up one direction per pair of normals leaving a vertex upwards
     start = time.perf_counter()
     report = build_report(g)
     elapsed = time.perf_counter() - start
@@ -389,18 +406,51 @@ if code != 0 or "numpy" not in sys.modules:
 """
 
 
-def test_single_graph_commands_never_import_numpy():
+def _run_fresh(source: str, stdout: str) -> None:
+    """Run `source` in a fresh interpreter on the checkout; it must exit 0 and print `stdout`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _COLD_START],
+        [sys.executable, "-c", source],
         cwd=ROOT,
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
-    if proc.returncode != 0 or proc.stdout != "3/3 graphs agree\n":
+    if proc.returncode != 0 or proc.stdout != stdout:
         raise AssertionError(
             f"exit {proc.returncode}\nstdout:\n{proc.stdout}\nstderr:\n{proc.stderr}"
         )
+
+
+def test_single_graph_commands_never_import_numpy():
+    _run_fresh(_COLD_START, "3/3 graphs agree\n")
+
+
+# fractions is imported only by an elimination that needs a non-integer pivot;
+# the B2-free graphs below need none, so their cold runs never load it
+_NO_FRACTIONS = """
+import contextlib, io, sys
+import falk3, falk3.cli
+
+if "fractions" in sys.modules:
+    raise SystemExit("fractions was imported by import falk3.cli")
+for args in (
+    ["compute", "samples/hub4_mixed.graph"],
+    ["compute", "--json", "samples/doubled_triangle_loop.graph"],
+    ["verify", "--vertices", "3", "--exhaustive"],
+    ["verify", "--vertices", "7", "--samples", "30", "--seed", "4"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = falk3.cli.main(args)
+    if code != 0:
+        raise SystemExit(f"{args} exited {code}")
+    if "fractions" in sys.modules:
+        raise SystemExit(f"fractions was imported by {args}")
+print("no fractions")
+"""
+
+
+def test_compute_and_verify_never_import_fractions():
+    _run_fresh(_NO_FRACTIONS, "no fractions\n")
