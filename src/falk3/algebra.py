@@ -1,29 +1,32 @@
 """Degree-2/3 exterior algebra rows and the rank-based invariant oracle.
 
 Monomials e_S are keyed by ascending tuples of hyperplane labels (the
-degree-3 pass uses int keys, see below); sparse vectors are plain dicts
+rank side uses int keys, see below); sparse vectors are plain dicts
 mapping key -> integer coefficient.  A "triangle"
 is a dependent label triple, i.e. three hyperplanes of rank 2.  Every such
 triple is one of three local patterns (k3, d21, k22), which `triangles()`
 reads straight off the graph.  An exact check runs beside it on every call:
 `_rank_triples` finds the dependent triples from the list of normals alone.
-Every normal has 1 or 2 nonzero entries, so a dependent triple lies on 2
+Every graph normal is +-e_s or +-e_s +- e_p, so a dependent triple lies on 2
 vertices (a coordinate plane) or is one normal on each pair of 3 vertices,
-where one lookup of a primitive direction decides it (see there).
+where one lookup of a direction sign decides it (see there).
 
 `rank_side` is the one rank-side pass per graph: triangles once, as plain
-label triples, then the rows that need it are eliminated exactly.  dim A^2
-is the boundary-row rank.  The degree-3 pass takes the rows e_t ^
-boundary(e_T) with t outside T (span F3) first, then the unit rows +-e_T
-that t inside T gives (I3_2); span rows are built from four sign patterns
-and streamed in, never all alive at once.  In that pass the monomial e_xyz
-(x < y < z) is keyed by the int (x * N + y) * N + z with N = n + 1: every
-label is below N, so the key is xyz written in base N, and the keys sort
-as the tuples do.  The elimination takes the least key of a row as its
-lead, so it picks the same pivots as on tuple keys; an int hashes and
-compares faster than a tuple.  `ideal3_rows`, `span_f3_rows`, `wedge` and
-`boundary` keep the tuple-keyed generating set as the reference definition
-the tests rank against.
+label triples, then one exact elimination over three groups of rows.  The
+boundary rows of the triangles that need it come first (dim A^2), then the
+rows e_t ^ boundary(e_T) with t outside T (span F3), then the unit rows
++-e_T that t inside T gives (I3_2); span rows are built from four sign
+patterns and streamed in, never all alive at once.  The monomials are keyed
+by ints with N = n + 1: e_xy (x < y) by x * N + y and e_xyz (x < y < z) by
+(x * N + y) * N + z.  Every label is below N, so a key is the labels
+written in base N, and keys of one degree sort as the tuples do.  Every
+degree-2 key is below N^2 and every degree-3 key is at least N^2, so no
+degree-3 row ever meets a degree-2 pivot, and each group's pivot count
+less the one before it is that group's rank over the earlier ones.  The
+elimination takes the least key of a row as its lead, so it picks the same
+pivots as on tuple keys; an int hashes and compares faster than a tuple.
+`ideal3_rows`, `span_f3_rows`, `wedge` and `boundary` keep the tuple-keyed
+generating set as the reference definition the tests rank against.
 
 Rows with a private column are counted, not eliminated.  If a column of a
 row set is nonzero in one row only, any vanishing combination gives that
@@ -32,7 +35,9 @@ row the coefficient 0; so if each row of R1 has such a column, rank(all) =
 how many triangles hold each label pair (`_pair_counts`), and which labels
 share a triangle with each label.
 - Boundary rows (dim A^2): the row of T has the columns xy for the pairs of
-  T, and xy is private when no other triangle holds it.
+  T, and xy is private when no other triangle holds it.  So only the
+  triangles whose three pairs all lie in other triangles (the 4-flats) are
+  eliminated.
 - Span rows: the row for T = {a < b < c} and t outside T has the columns
   {t, x, y} for the pairs xy of T.  No other row, span or unit, has the
   column {t, x, y} unless another triangle holds xy, or some triangle holds
@@ -44,8 +49,7 @@ share a triangle with each label.
   dim I3_2, and only the other unit rows enter the pass.
 On a B2-free graph no pair lies in two triangles (four hyperplanes would
 share a rank-2 flat), so every boundary row and every unit row is private:
-nothing is eliminated for dim A^2, and dim I3_2 = dim span F3 + #triangles.
-On a graph with B2 the rows of the 4-flats stay in both eliminations.
+the pass ranks only span rows, and dim I3_2 = dim span F3 + #triangles.
 """
 
 from __future__ import annotations
@@ -53,12 +57,13 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import comb, gcd
+from math import comb
 
 from . import rank
 from .errors import B2Present, InternalKindMismatch, RankMismatch
 from .graphs import LOOP, POS, Edge, SignedGraph
-# bigint_rank stays a module attribute: perfbench/spans.py wraps algebra.bigint_rank
+# unused here, kept as module attributes: perfbench/spans.py wraps
+# algebra.exact_rank and algebra.bigint_rank, and stops if either is missing
 from .rank import bigint_rank, exact_rank  # noqa: F401
 
 
@@ -137,15 +142,13 @@ def _normal(e: Edge) -> tuple[tuple[int, int], ...]:
 def _rank_triples(normals) -> set[tuple[int, int, int]]:
     """Rank route: the label triples (1-based) whose normals span at most a plane.
 
-    Precondition: every normal has 1 or 2 nonzero entries, as graph normals
-    do; any other raises InternalKindMismatch.  Two normals are parallel
-    exactly when they have the same support and the same primitive
-    direction (first entry positive), so one index finds every parallel
-    pair; of several, the least is reported.  A normal of two nonzero
-    entries on two vertices is unpacked as it is; any other one (a loop, a
-    zero entry, a repeated vertex) first drops its zero entries.  A
-    direction whose first entry is 1 is primitive already, so gcd runs only
-    when it is not: never on graph normals, where every entry is +-1.
+    Precondition: every normal is a graph normal, ((s, +-1),) or
+    ((s, a), (p, b)) with s != p and a * b = +-1; any other raises
+    InternalKindMismatch naming the least such label.  A normal on s < p is
+    parallel to e_s + r e_p with r = a * b, so two normals are parallel
+    exactly when they have the same support and the same sign r, and one
+    index keyed (s, p, r) finds every parallel pair; of several, the least
+    is reported.
 
     With no two normals parallel, a dependent triple has rank exactly 2, and
     each of its normals is a combination of the other two with both
@@ -159,38 +162,32 @@ def _rank_triples(normals) -> set[tuple[int, int, int]]:
       span either a coordinate plane, which holds no normal reaching the
       third vertex, or a plane whose other members have 3 entries.  Two
       normals on one pair span its coordinate plane, so the triple is one
-      normal on each of sp, sq and pq.  With u = alpha e_s + beta e_p and
-      v = gamma e_s + delta e_q, the plane's only direction without e_s is
-      gamma u - alpha v = gamma beta e_p - alpha delta e_q, so the triple is
-      dependent exactly when the normal on pq is parallel to that vector:
-      one lookup of a primitive direction per pair of normals leaving s
-      upwards to different vertices.
+      normal on each of sp, sq and pq.  With u ~ e_s + r e_p and
+      v ~ e_s + t e_q, the plane's only direction without e_s is
+      u - v = r e_p - t e_q, which is r (e_p - r t e_q) as r r = 1, so the
+      triple is dependent exactly when the normal on pq has the sign -r t:
+      one lookup of (p, q, -r t) per pair of normals leaving s upwards to
+      different vertices.
     The cost follows those pairs.
     """
-    lines: dict[tuple, list[int]] = {}  # (vertex,) for a loop, else (s, p, a, b) -> labels
-    up: dict[int, list[tuple[int, int, int, int]]] = {}  # s -> (p, label, alpha, beta), p > s
+    lines: dict[tuple, list[int]] = {}  # (vertex,) for a loop, else (s, p, r) -> labels
+    up: dict[int, list[tuple[int, int, int]]] = {}  # s -> (p, label, r), p > s
     for k, normal in enumerate(normals, start=1):
-        if len(normal) == 2 and normal[0][1] and normal[1][1] and normal[0][0] != normal[1][0]:
+        if len(normal) == 2:
             (s, a), (p, b) = normal
-            if s > p:
-                s, a, p, b = p, b, s, a
-        else:
-            u = {x: c for x, c in normal if c}
-            if len(u) == 1:
-                lines.setdefault(tuple(u), []).append(k)
+            r = a * b
+            if (r == 1 or r == -1) and s != p:
+                if s > p:
+                    s, p = p, s
+                up.setdefault(s, []).append((p, k, r))
+                lines.setdefault((s, p, r), []).append(k)
                 continue
-            if len(u) != 2:
-                raise InternalKindMismatch(
-                    f"label {k}: normal has {len(u)} nonzero entries; the rank route needs 1 or 2"
-                )
-            (s, a), (p, b) = sorted(u.items())
-        up.setdefault(s, []).append((p, k, a, b))
-        if a < 0:
-            a, b = -a, -b
-        if a != 1:  # a direction (1, b) is primitive already
-            d = gcd(a, b)
-            a, b = a // d, b // d
-        lines.setdefault((s, p, a, b), []).append(k)
+        elif len(normal) == 1 and normal[0][1] in (1, -1):
+            lines.setdefault((normal[0][0],), []).append(k)
+            continue
+        raise InternalKindMismatch(
+            f"label {k}: normal {normal} is not +-e_s or +-e_s +- e_p; the rank route needs one"
+        )
     parallel = [tuple(ks[:2]) for ks in lines.values() if len(ks) > 1]
     if parallel:
         ku, kv = min(parallel)
@@ -199,24 +196,18 @@ def _rank_triples(normals) -> set[tuple[int, int, int]]:
     for s, ups in up.items():
         # the coordinate plane of each pair s < p: its normals and the loops at s and p
         on_pair: dict[int, list[int]] = {}
-        for p, k, _a, _b in ups:
+        for p, k, _r in ups:
             on_pair.setdefault(p, []).append(k)
         for p, ks in on_pair.items():
             group = ks + lines.get((s,), []) + lines.get((p,), [])
             if len(group) >= 3:
                 found.update(itertools.combinations(sorted(group), 3))
         ups.sort()
-        for i, (p, ku, alpha, beta) in enumerate(ups):
-            for q, kv, gamma, delta in ups[i + 1 :]:
+        for i, (p, ku, r) in enumerate(ups):
+            for q, kv, t in ups[i + 1 :]:
                 if q == p:
                     continue
-                a, b = gamma * beta, -alpha * delta
-                if a < 0:
-                    a, b = -a, -b
-                if a != 1:
-                    d = gcd(a, b)
-                    a, b = a // d, b // d
-                w = lines.get((p, q, a, b))
+                w = lines.get((p, q, -r * t))
                 if w:
                     found.add(tuple(sorted((ku, kv, w[0]))))
     return found
@@ -311,16 +302,18 @@ def _pair_counts(tris) -> dict[tuple[int, int], int]:
     return count
 
 
-def _shared_rows(n: int, tris, pair_count) -> tuple[list, int, list]:
-    """The degree-3 rows with no private column: span-F3 row-stream jobs (a
-    triangle and the bitmask of its kept t), the count of span rows left
-    out, and the triangles whose unit row is kept.
+def _shared_rows(n: int, tris, pair_count) -> tuple[list, list, int, list]:
+    """The rows with no private column: the triangles whose boundary row is
+    kept, span-F3 row-stream jobs (a triangle and the bitmask of its kept t),
+    the count of span rows left out, and the triangles whose unit row is kept.
 
-    The column {t, x, y} of row e_t ^ boundary(e_T) is shared when another
-    triangle holds the pair xy, or t shares a triangle with x or y; the unit
-    row e_T is shared when another triangle holds a pair of T (see the module
-    docstring).  Only the t whose three columns are all shared are kept.
-    Label sets are bitmasks: bit t stands for label t.
+    The column xy of the boundary row of T is shared when another triangle
+    holds the pair xy.  The column {t, x, y} of row e_t ^ boundary(e_T) is
+    shared when another triangle holds the pair xy, or t shares a triangle
+    with x or y; the unit row e_T is shared when another triangle holds a
+    pair of T (see the module docstring).  Only the t whose three columns
+    are all shared are kept.  Label sets are bitmasks: bit t stands for
+    label t.
     """
     partners: dict[int, int] = {}  # label -> the labels of its triangles
     for tri in tris:
@@ -329,6 +322,7 @@ def _shared_rows(n: int, tris, pair_count) -> tuple[list, int, list]:
         for x in tri:
             partners[x] = partners.get(x, 0) | mask
     every = (1 << n + 1) - 2  # labels 1..n
+    flats = []
     jobs = []
     units = []
     private = 0
@@ -340,12 +334,14 @@ def _shared_rows(n: int, tris, pair_count) -> tuple[list, int, list]:
             if pair_count[x, y] == 1:
                 near &= partners[x] | partners[y]
                 alone += 1
+        if not alone:
+            flats.append(tri)
         if alone < 3:
             units.append(tri)
         private += n - 3 - near.bit_count()
         if near:
             jobs.append((tri, near))
-    return jobs, private, units
+    return flats, jobs, private, units
 
 
 def rows_to_matrix(rows) -> np.ndarray:
@@ -367,47 +363,36 @@ def rows_to_matrix(rows) -> np.ndarray:
 # -- dimensions and the invariant -------------------------------------------
 
 
-def _dim_a2(g: SignedGraph, tris, pair_count) -> int:
-    """dim A^2 as the exact boundary-row rank.  On a B2-free graph it must equal
-    C(n,2) - #triangles; else some rank-2 flat has over three hyperplanes: RankMismatch.
-
-    Only the rows whose three pairs all lie in other triangles are eliminated;
-    each other row has a private column and adds 1 (see the module docstring).
-    """
-    shared = []
-    for t in tris:
-        a, b, c = t
-        if pair_count[a, b] > 1 and pair_count[a, c] > 1 and pair_count[b, c] > 1:
-            shared.append(boundary(t))
-    ranked = comb(g.n, 2) - (len(tris) - len(shared)) - (exact_rank(shared) if shared else 0)
-    counted = comb(g.n, 2) - len(tris)
-    if not g._b2 and ranked != counted:
-        raise RankMismatch(
-            f"triangle count gives dim A^2 = {counted} but boundary rows give {ranked}"
-        )
-    return ranked
-
-
 def rank_side(g: SignedGraph) -> tuple[int, int, int, int]:
     """(#triangles, dim A^2, dim span F3, dim I3_2) of one graph.
 
-    Rows with a private column are counted, not eliminated, so on a B2-free
-    graph the one elimination left is the degree-3 pass over the span rows
-    whose columns are all shared.  There every unit row e_T is private and
-    dim I3_2 = dim span F3 + #triangles; on graphs with B2 some e_T may
-    already lie in span F3, and the pass ranks those unit rows.
+    One elimination over the rows with no private column, in three groups:
+    the boundary rows of the 4-flat triangles (c0 pivots), the span rows
+    (c1) and the unit rows (c2).  Every other row is counted, not eliminated.
+    On a B2-free graph only span rows enter, and dim I3_2 = dim span F3 +
+    #triangles; on a graph with B2 some e_T may already lie in span F3, and
+    the pass ranks those unit rows.  dim A^2 must equal C(n,2) - #triangles
+    when B2 is absent, else RankMismatch.
     """
     tris = sorted(_checked_triangles(g))
-    pair_count = _pair_counts(tris)
-    a2 = _dim_a2(g, tris, pair_count)
-    jobs, private, units = _shared_rows(g.n, tris, pair_count)
+    flats, jobs, private, units = _shared_rows(g.n, tris, _pair_counts(tris))
     base = g.n + 1
     # streamed: each row is built when the elimination reads it, never all at once
-    span, ideal = rank._eliminate(
-        [_span_f3_row_stream(jobs, base), ({(a * base + b) * base + c: 1} for a, b, c in units)],
+    c0, c1, c2 = rank._eliminate(
+        [
+            ({b * base + c: 1, a * base + c: -1, a * base + b: 1} for a, b, c in flats),
+            _span_f3_row_stream(jobs, base),
+            ({(a * base + b) * base + c: 1} for a, b, c in units),
+        ],
         None,
     )
-    return len(tris), a2, private + span, private + ideal + len(tris) - len(units)
+    a2 = comb(g.n, 2) - (len(tris) - len(flats)) - c0
+    counted = comb(g.n, 2) - len(tris)
+    if not g._b2 and a2 != counted:
+        raise RankMismatch(
+            f"triangle count gives dim A^2 = {counted} but boundary rows give {a2}"
+        )
+    return len(tris), a2, private + c1 - c0, private + c2 - c0 + len(tris) - len(units)
 
 
 def dim_a2(g: SignedGraph) -> int:
@@ -419,8 +404,7 @@ def dim_a2(g: SignedGraph) -> int:
 
 def dim_a2_rank(g: SignedGraph) -> int:
     """Degree-2 algebra dimension from the exact boundary-row rank; any graph."""
-    tris = sorted(_checked_triangles(g))
-    return _dim_a2(g, tris, _pair_counts(tris))
+    return rank_side(g)[1]
 
 
 def rank_i3_2(g: SignedGraph) -> int:

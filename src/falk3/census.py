@@ -63,17 +63,15 @@ _K4_SWITCHINGS = tuple(
 def census(g: SignedGraph) -> Census:
     """Count the eight classes by local enumeration over vertex tuples.
 
-    One pair -> signs table and one loop table are read off the graph's
-    label maps; every count comes from those two tables.  Vertex triples
-    and 4-sets are reached through the graph's neighbour map, so the cost
-    grows with the edges, not with the number of vertices.
+    Every count comes from the graph's pair -> signs table and its loop
+    set.  Vertex triples and 4-sets are reached through the graph's
+    neighbour map, so the cost grows with the edges, not with the number of
+    vertices.
     """
     if g.contains_b2():
         raise B2Present("the census is defined for graphs with no B2 sub-arrangement")
 
-    signs: dict[tuple[int, int], tuple[int, ...]] = {}
-    for i, j, s in g._sign_label:
-        signs[(i, j)] = signs.get((i, j), ()) + (s,)
+    signs = g._signs
     looped = set(g._loop_label)
     adj = g._neighbours
 

@@ -83,26 +83,20 @@ def sample_stream(cfg: GenConfig):
         yield random_no_b2(cfg, rng)
 
 
-def enumerate_all(ell: int, max_n: int | None = None):
+def enumerate_all(ell: int):
     """Every B2-free signed graph on vertices 1..ell, each exactly once.
 
     Pairs run through the states absent/positive/negative/both and vertices
-    through loop absent/present, in a fixed lexicographic order; graphs with
-    more than max_n edges are skipped when max_n is given.  A negative ell
-    raises ValueError when the stream is first read.
+    through loop absent/present, in a fixed lexicographic order.  A negative
+    ell raises ValueError when the stream is first read.
     """
     if ell < 0:
         raise ValueError(f"ell must be at least 0, got {ell}")
     pairs = list(itertools.combinations(range(1, ell + 1), 2))
-    edges_per_state = (0, 1, 1, 2)
     for pair_states in itertools.product(range(4), repeat=len(pairs)):
-        base = sum(edges_per_state[s] for s in pair_states)
         pos_pairs = [p for p, s in zip(pairs, pair_states) if s in (1, 3)]
         neg_pairs = [p for p, s in zip(pairs, pair_states) if s in (2, 3)]
         for loop_bits in itertools.product((0, 1), repeat=ell):
-            n = base + sum(loop_bits)
-            if max_n is not None and n > max_n:
-                continue
             g = _build(
                 ell,
                 pos_pairs,

@@ -113,8 +113,7 @@ class SignedGraph:
 
     def signs_on(self, i: int, j: int) -> tuple[int, ...]:
         """Signs of the non-loop edges present on pair {i, j} (positive first)."""
-        a, b = min(i, j), max(i, j)
-        return tuple(s for s in (1, -1) if (a, b, s) in self._sign_label)
+        return self._signs.get((min(i, j), max(i, j)), ())
 
     def edge_label(self, i: int, j: int, sign: int) -> int | None:
         a, b = min(i, j), max(i, j)
@@ -124,10 +123,19 @@ class SignedGraph:
         return self._loop_label.get(v)
 
     @cached_property
+    def _signs(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """Pair i < j -> the signs of its edges, positive first; pairs with no edge are absent."""
+        signs: dict[tuple[int, int], tuple[int, ...]] = {}
+        for i, j, s in self._sign_label:
+            # a pair met twice holds both signs
+            signs[i, j] = (1, -1) if (i, j) in signs else (s,)
+        return signs
+
+    @cached_property
     def _neighbours(self) -> dict[int, set[int]]:
         """Vertex -> the vertices it shares a non-loop edge with; edgeless vertices are absent."""
         adj: dict[int, set[int]] = {}
-        for i, j, _s in self._sign_label:
+        for i, j in self._signs:
             adj.setdefault(i, set()).add(j)
             adj.setdefault(j, set()).add(i)
         return adj
@@ -143,7 +151,7 @@ class SignedGraph:
         adj = self._neighbours
         return [
             (a, b, c)
-            for a, b in dict.fromkeys((i, j) for i, j, _s in self._sign_label)
+            for a, b in self._signs
             for c in adj[a] & adj[b]
             if c > b
         ]
@@ -211,12 +219,6 @@ class SignedGraph:
                 out.append(Edge(POS if s == 1 else NEG, e.i, e.j))
         return SignedGraph(self.ell, out)
 
-    def _pair_signs(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        return {
-            (i, j): self.signs_on(i, j)
-            for (i, j, _s) in self._sign_label
-        }
-
     def _forest_normal_form(self, pairs) -> dict[tuple[int, int], int]:
         """Signs of the single-sign pairs after spanning-forest switching.
 
@@ -263,7 +265,7 @@ class SignedGraph:
             raise UnderlyingGraphMismatch("vertex counts differ")
         if set(self._loop_label) != set(other._loop_label):
             raise UnderlyingGraphMismatch("loop sets differ")
-        p1, p2 = self._pair_signs(), other._pair_signs()
+        p1, p2 = self._signs, other._signs
         if set(p1) != set(p2) or any(len(p1[q]) != len(p2[q]) for q in p1):
             raise UnderlyingGraphMismatch("edge pairs or multiplicities differ")
         return self._forest_normal_form(p1) == other._forest_normal_form(p2)

@@ -1,7 +1,8 @@
 import hashlib
 import itertools
 import random
-from math import comb, gcd
+import re
+from math import comb
 
 import pytest
 import sympy
@@ -155,8 +156,8 @@ def test_triangles_raise_when_the_pattern_route_adds_a_triangle(monkeypatch, loo
 
 
 def test_parallel_normals_raise():
-    # e_1 - e_2 and 2e_1 - 2e_2 span a line: their wedge is zero
-    normals = [((1, 1), (2, -1)), ((1, 1), (3, 1)), ((1, 2), (2, -2))]
+    # -e_1 + e_2 and e_1 - e_2 span a line: their wedge is zero
+    normals = [((1, -1), (2, 1)), ((1, 1), (3, 1)), ((1, 1), (2, -1))]
     with pytest.raises(InternalKindMismatch, match="labels 1 and 3 have parallel normals"):
         algebra._rank_triples(normals)
 
@@ -176,8 +177,8 @@ def test_rank_route_reports_the_least_parallel_pair():
         ((1, 1),),
         ((2, 1), (3, -1)),
         ((1, 1), (4, -1)),
-        ((1, 2), (4, -2)),
-        ((2, 2), (3, -2)),
+        ((4, 1), (1, -1)),
+        ((2, -1), (3, 1)),
     ]
     with pytest.raises(InternalKindMismatch, match="labels 2 and 5 have parallel normals"):
         algebra._rank_triples(normals)
@@ -189,64 +190,71 @@ def test_rank_route_skips_disjoint_pairs_on_three_vertices():
     assert algebra._rank_triples(normals) == {(2, 3, 4)}
 
 
-def test_rank_route_refuses_a_normal_with_three_entries():
-    normals = [((1, 1), (2, -1)), ((1, 1), (2, 1), (3, 1))]
-    with pytest.raises(InternalKindMismatch, match="label 2: normal has 3 nonzero entries"):
+def _assert_refused(normals, k):
+    # the message names label k and its normal
+    bad = re.escape(str(normals[k - 1]))
+    with pytest.raises(InternalKindMismatch, match=rf"^label {k}: normal {bad} is not"):
         algebra._rank_triples(normals)
 
 
+def test_rank_route_refuses_a_normal_with_three_entries():
+    # labels 2 and 3 are both bad; the least is named
+    _assert_refused([((1, 1), (2, -1)), ((1, 1), (2, 1), (3, 1)), ((1, 1), (2, 1), (3, 1))], 2)
+
+
 @pytest.mark.parametrize("zero_entry_first", [False, True])
-def test_rank_route_reads_a_zero_entry_as_absent(zero_entry_first):
-    # a two-entry normal with a zero entry is a loop, in either entry order
+def test_rank_route_refuses_a_zero_entry(zero_entry_first):
+    # no graph normal has a zero entry, not even where dropping it leaves a loop
     loop_at_2 = ((1, 0), (2, 1)) if zero_entry_first else ((2, 1), (1, 0))
-    normals = [loop_at_2, ((1, 1),), ((1, 1), (2, -1))]
-    assert algebra._rank_triples(normals) == {(1, 2, 3)}
-    with pytest.raises(InternalKindMismatch, match="labels 1 and 4 have parallel normals"):
-        algebra._rank_triples(normals + [((2, -2),)])
-    with pytest.raises(InternalKindMismatch, match="label 2: normal has 0 nonzero entries"):
-        algebra._rank_triples([loop_at_2, ((1, 0),)])
+    _assert_refused([((1, 1),), ((1, 1), (2, -1)), loop_at_2, ((1, 0),)], 3)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [((2, -2),), ((1, 1), (2, 2)), ((1, -2), (3, -2)), ((2, 1), (2, -1)), ((3, 1), (3, 1)), ()],
+)
+def test_rank_route_refuses_any_other_normal_no_graph_has(bad):
+    # an entry of +-2, a repeated vertex or no entry; labels 4 and 5 are both
+    # bad and the least is named, before the parallel pair (1, 2) is reported
+    _assert_refused([((1, 1), (3, -1)), ((3, 1), (1, -1)), ((2, 1),), bad, ((1, 2), (2, -1))], 4)
 
 
 def _closing_normal(u, v):
-    """For u on the vertices sp and v on sq, the normal on pq that lies in their
-    plane, made primitive; None if u and v share no single vertex or an entry
-    falls outside {+-1, +-2}."""
-    du, dv = {x: c for x, c in u if c}, {x: c for x, c in v if c}
+    """For u on the vertices sp and v on sq, the normal on pq that lies in
+    their plane; None unless u and v are on two vertices each and share one."""
+    du, dv = dict(u), dict(v)
     shared = du.keys() & dv.keys()
     if len(du) != 2 or len(dv) != 2 or len(shared) != 1:
         return None
     (s,) = shared
     (p,) = du.keys() - shared
     (q,) = dv.keys() - shared
-    a, b = dv[s] * du[p], -du[s] * dv[q]  # dv[s] u - du[s] v, which is 0 at s
-    d = gcd(a, b)
-    if max(abs(a), abs(b)) > 2 * d:
-        return None
-    return ((p, a // d), (q, b // d))
+    return ((p, dv[s] * du[p]), (q, -du[s] * dv[q]))  # dv[s] u - du[s] v, which is 0 at s
 
 
 @st.composite
 def normal_lists(draw):
-    """Up to 12 normals on up to 6 vertices, 1-2 entries in {+-1, +-2}, in
-    either vertex order; in about half the lists an entry may also be 0, so
-    that a normal may have 1 nonzero entry out of 2, or none.
+    """Up to 12 graph normals on up to 6 vertices: 1-2 entries of +-1 on
+    distinct vertices, in either vertex order.
 
-    Parallel pairs (same support, same ratio) are allowed; about half the
-    lists skip any normal parallel to an earlier one, so that dependent
-    triples, not the parallel check, decide the outcome.  Up to 3 normals
-    close a dependent triple on 3 vertices, which random draws rarely make;
-    at least one does whenever some pair of drawn normals has one (`_closing_normal`).
+    Parallel pairs (same support, same sign ratio) are allowed; about half
+    the lists skip any normal parallel to an earlier one, so that dependent
+    triples, not the parallel check, decide the outcome.  Up to 3 normals,
+    each with either overall sign, close a dependent triple on 3 vertices,
+    which random draws rarely make; at least one does whenever some pair of
+    drawn normals has one (`_closing_normal`).
     """
     ell = draw(st.integers(1, 6))
     skip_parallel = draw(st.booleans())
-    coeff = st.sampled_from((1, -1, 2, -2) + ((0,) if draw(st.booleans()) else ()))
+    sign = st.sampled_from((1, -1))
     drawn = []
     for _ in range(draw(st.integers(0, 9))):
         support = draw(st.lists(st.integers(1, ell), min_size=1, max_size=2, unique=True))
-        drawn.append(tuple((x, draw(coeff)) for x in support))
+        drawn.append(tuple((x, draw(sign)) for x in support))
     closing = [w for u, v in itertools.combinations(drawn, 2) if (w := _closing_normal(u, v))]
     for _ in range(draw(st.integers(1, 3)) if closing else 0):
-        drawn.insert(draw(st.integers(0, len(drawn))), draw(st.sampled_from(closing)))
+        w, c = draw(st.sampled_from(closing)), draw(sign)
+        drawn.insert(draw(st.integers(0, len(drawn))), tuple((x, c * a) for x, a in w))
     out = []
     for u in drawn:
         if not (skip_parallel and any(_brute_force_rank([u, v], (1, 2)) <= 1 for v in out)):
@@ -270,14 +278,8 @@ def _brute_force_rank(normals, labels):
 @settings(max_examples=400, deadline=None)
 def test_rank_route_matches_brute_force_ranks(normals):
     labels = range(1, len(normals) + 1)
-    nonzero = [sum(1 for _x, c in u if c) for u in normals]
     rank1 = [p for p in itertools.combinations(labels, 2) if _brute_force_rank(normals, p) <= 1]
-    bad = [k for k in labels if nonzero[k - 1] not in (1, 2)]
-    if bad:
-        k = bad[0]
-        with pytest.raises(InternalKindMismatch, match=rf"^label {k}: normal has {nonzero[k - 1]} nonzero"):
-            algebra._rank_triples(normals)
-    elif rank1:
+    if rank1:
         ku, kv = min(rank1)
         with pytest.raises(InternalKindMismatch, match=rf"^labels {ku} and {kv} have parallel normals$"):
             algebra._rank_triples(normals)
@@ -496,20 +498,21 @@ def test_rank_side_eliminates_only_rows_without_a_private_column(monkeypatch, hu
     count, _a2, span, ideal = algebra.rank_side(hub4)
     assert (count, span, ideal) == (12, 83, 95)
     # B2-free: every boundary row and every unit row has a private column,
-    # so the one elimination is the degree-3 pass over the shared span rows
+    # so the one elimination ranks only the shared span rows
     assert len(calls) == 1
-    span_rows, unit_rows = calls[0]
-    assert span_rows < count * (hub4.n - 3) == 96
-    assert unit_rows == 0
+    flat_rows, span_rows, unit_rows = calls[0]
+    assert (flat_rows, unit_rows) == (0, 0)
+    assert 0 < span_rows < count * (hub4.n - 3) == 96
 
     calls.clear()
     g = complete_doubled(4, loops=(1, 2))
     assert algebra.rank_side(g) == (24, comb(14, 2) - 24 + 1, 212, 232)
-    # the degree-2 elimination still runs, on the 4 rows of the B2 flat only,
-    # and the degree-3 pass takes only the unit rows of those 4 triangles
-    assert len(calls) == 2
-    assert calls[0] == [4]
-    assert calls[1][1] == 4
+    # still one elimination: the boundary rows and the unit rows of the 4
+    # triangles in the B2 flat, with the shared span rows between them
+    assert len(calls) == 1
+    flat_rows, span_rows, unit_rows = calls[0]
+    assert (flat_rows, unit_rows) == (4, 4)
+    assert 0 < span_rows < 24 * (g.n - 3)
 
 
 def test_ideal_dim_is_not_span_plus_triangles_with_b2():

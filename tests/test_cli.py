@@ -285,7 +285,7 @@ def test_verify_goes_through_build_report_only(monkeypatch, capsys):
 @pytest.mark.parametrize("one_pass", ["build_report", "phi3_oracle"])
 def test_build_report_runs_one_elimination(monkeypatch, one_pass):
     # B2-free: every boundary row and every unit row has a private column, so
-    # the one elimination is the degree-3 pass over the shared span rows
+    # the one elimination ranks only the shared span rows
     calls = []
     eliminate = rank._eliminate
 
@@ -301,9 +301,10 @@ def test_build_report_runs_one_elimination(monkeypatch, one_pass):
     else:
         assert phi3_oracle(hub4_mixed()) == 37
     assert len(calls) == 1
-    p, (_span_rows, unit_rows) = calls[0]
+    p, (flat_rows, span_rows, unit_rows) = calls[0]
     assert p is None
-    assert unit_rows == 0
+    assert (flat_rows, unit_rows) == (0, 0)
+    assert span_rows > 0
 
 
 @given(signed_graphs(max_ell=5, allow_b2=True))

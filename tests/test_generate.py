@@ -5,7 +5,6 @@ import pytest
 from falk3 import (
     GenConfig,
     SignedGraph,
-    complete_doubled,
     enumerate_all,
     loop,
     neg,
@@ -108,13 +107,6 @@ def test_enumerate_refuses_negative_vertex_count():
     assert list(enumerate_all(0)) == [SignedGraph(0, [])]
     with pytest.raises(ValueError, match="got -1"):
         next(enumerate_all(-1))
-
-
-def test_enumerate_respects_max_n():
-    capped = list(enumerate_all(3, max_n=7))
-    assert all(g.n <= 7 for g in capped)
-    assert complete_doubled(3, loops=(1,)) in capped
-    assert complete_doubled(3, loops=(1, 2)) not in capped  # n = 8
 
 
 def test_enumerate_counts_without_cap():
