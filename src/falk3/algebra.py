@@ -3,13 +3,16 @@
 Monomials e_S are keyed by ascending tuples of hyperplane labels (the
 rank side uses int keys, see below); sparse vectors are plain dicts
 mapping key -> integer coefficient.  A "triangle"
-is a dependent label triple, i.e. three hyperplanes of rank 2.  Every such
-triple is one of three local patterns (k3, d21, k22), which `triangles()`
-reads straight off the graph.  An exact check runs beside it on every call:
-`_rank_triples` finds the dependent triples from the list of normals alone.
-Every graph normal is +-e_s or +-e_s +- e_p, so a dependent triple lies on 2
-vertices (a coordinate plane) or is one normal on each pair of 3 vertices,
-where one lookup of a direction sign decides it (see there).
+is a dependent label triple, i.e. three hyperplanes of rank 2.
+`_rank_triples` is the one triangle enumerator, and `triangles()` and
+`rank_side` both read it: it finds the dependent triples from the list of
+normals alone.  Every graph normal is +-e_s or +-e_s +- e_p, so a dependent
+triple lies on 2 vertices (a coordinate plane) or is one normal on each
+pair of 3 vertices, where one lookup of a direction sign decides it (see
+there).  A triple's kind (k3, d21, k22) is its number of loops (see
+`triangles`).  The triangles are checked outside this module:
+`build_report` compares their count with the census's k3 + d21 + k22 on
+every B2-free graph.
 
 `rank_side` is the one rank-side pass per graph: triangles once, as plain
 label triples, then one exact elimination over three groups of rows.  The
@@ -104,36 +107,6 @@ def wedge(label: int, vec: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _pattern_triangles(g: SignedGraph) -> dict[tuple[int, int, int], str]:
-    """Pattern route: every triangle read off the graph's label maps, with its kind."""
-    signed, looped = g._sign_label, g._loop_label
-    found = {}
-    for a, b, c in g._vertex_triangles:
-        for s_ab in (1, -1):
-            l_ab = signed.get((a, b, s_ab))
-            if l_ab is None:
-                continue
-            for s_bc in (1, -1):
-                l_bc = signed.get((b, c, s_bc))
-                if l_bc is None:
-                    continue
-                # balanced: the sign on ac is the product of the other two
-                l_ac = signed.get((a, c, s_ab * s_bc))
-                if l_ac is not None:
-                    found[tuple(sorted((l_ab, l_bc, l_ac)))] = "k3"
-    for (i, j, s), label in signed.items():
-        li, lj = looped.get(i), looped.get(j)
-        if li is None and lj is None:
-            continue
-        if s == 1 and (i, j, -1) in signed:
-            for lv in (li, lj):
-                if lv is not None:
-                    found[tuple(sorted((label, signed[(i, j, -1)], lv)))] = "d21"
-        if li is not None and lj is not None:
-            found[tuple(sorted((label, li, lj)))] = "k22"
-    return found
-
-
 def _normal(e: Edge) -> tuple[tuple[int, int], ...]:
     """Sparse integer normal of an edge's hyperplane as (vertex, coefficient) items."""
     return ((e.i, 1),) if e.kind == LOOP else ((e.i, 1), (e.j, -1 if e.kind == POS else 1))
@@ -213,30 +186,24 @@ def _rank_triples(normals) -> set[tuple[int, int, int]]:
     return found
 
 
-def _checked_triangles(g: SignedGraph) -> dict[tuple[int, int, int], str]:
-    """Every dependent label triple with its kind, found by both routes (see `triangles`)."""
-    kinds = _pattern_triangles(g)
-    dependent = _rank_triples([_normal(e) for e in g.edges])
-    if dependent != kinds.keys():
-        triple = min(dependent ^ kinds.keys())
-        raise InternalKindMismatch(
-            f"triple {triple}: rank route says dependent={triple in dependent}, "
-            f"pattern route says kind={kinds.get(triple)}"
-        )
-    return kinds
+# the kind of a dependent triple by how many of its hyperplanes are loops
+_KINDS = ("k3", "d21", "k22")
 
 
 def triangles(g: SignedGraph) -> list[Triangle]:
     """All dependent label triples, ascending, with kinds.
 
-    Two exact routes run on every call: the pattern route reads the k3,
-    d21 and k22 shapes off the graph, and the rank route finds the dependent
-    triples from the list of normals alone.  If the two triple sets
-    differ, InternalKindMismatch names a triple found by one route only (it
-    cannot happen for graphs in this edge model, and is kept as a check).
+    The rank route finds the triples from the list of normals alone.  Three
+    loops are independent, so a triple holds at most two, and the kind is
+    their count: none is a k3 (a triple on 3 vertices holds no loop, see
+    `_rank_triples`), one a d21 and two a k22 (on 2 vertices p < q, the
+    normals on pq with the loops at p and q).
     """
-    kinds = _checked_triangles(g)
-    return [Triangle(t, kinds[t]) for t in sorted(kinds)]
+    edges = g.edges
+    return [
+        Triangle(t, _KINDS[sum(edges[k - 1].kind == LOOP for k in t)])
+        for t in sorted(_rank_triples([_normal(e) for e in edges]))
+    ]
 
 
 # -- row builders ----------------------------------------------------------
@@ -374,7 +341,7 @@ def rank_side(g: SignedGraph) -> tuple[int, int, int, int]:
     the pass ranks those unit rows.  dim A^2 must equal C(n,2) - #triangles
     when B2 is absent, else RankMismatch.
     """
-    tris = sorted(_checked_triangles(g))
+    tris = sorted(_rank_triples([_normal(e) for e in g.edges]))
     flats, jobs, private, units = _shared_rows(g.n, tris, _pair_counts(tris))
     base = g.n + 1
     # streamed: each row is built when the elimination reads it, never all at once

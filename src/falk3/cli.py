@@ -1,8 +1,8 @@
 """Command line interface: compute, census, verify, switch.
 
 Exit codes: 0 success (including oracle-only runs on B2 graphs), 1 file or
-input errors, 2 a computed disagreement between the oracle and the census
-formula.
+input errors, 2 a computed disagreement between the rank side and the census
+(the phi3 values or the triangle counts).
 """
 
 import argparse
@@ -75,8 +75,12 @@ def _cmd_verify(args) -> int:
             agreed += 1
         elif first_bad is None:
             # dim A^2 was checked inside build_report: a mismatch raises RankMismatch
-            closed_form = report.dim_I3_2 != dim_i3_2_formula(g, report.census)
-            broken = "dim I3_2 closed form" if closed_form else "phi3"
+            if report.triangle_count != report.census.triangle_total():
+                broken = "triangle count"
+            elif report.dim_I3_2 != dim_i3_2_formula(g, report.census):
+                broken = "dim I3_2 closed form"
+            else:
+                broken = "phi3"
             first_bad = f"broken identity: {broken}\n{serialize(g)}"
     print(f"{agreed}/{total} graphs agree")
     if agreed != total:

@@ -48,7 +48,8 @@ class B2Present(FalkError):
 
 
 class InternalKindMismatch(FalkError):
-    """Rank-based and pattern-based dependent-triple enumeration disagreed."""
+    """The rank route was given normals no signed graph has: two parallel
+    normals, or a normal that is not +-e_s or +-e_s +- e_p."""
 
 
 class RankMismatch(FalkError):

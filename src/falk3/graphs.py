@@ -143,7 +143,7 @@ class SignedGraph:
     @cached_property
     def _vertex_triangles(self) -> list[tuple[int, int, int]]:
         """Vertex triples a < b < c joined pairwise by edges, in no fixed order;
-        found once, for both the pattern route and the census.
+        found once, for the census.
 
         Each is an edge pair a < b plus a common neighbour c > b, so the cost
         grows with the edges, not with the C(ell,3) vertex triples.

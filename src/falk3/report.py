@@ -2,9 +2,11 @@
 
 The rank side (triangle count, dim A^2, dim span F3, dim I3_2) comes from
 `algebra.rank_side`, the same pass `phi3_oracle` uses, on every graph.  The
-census side is computed apart from it.  When the graph contains a B2
-sub-arrangement the census formula does not apply: census, phi3_formula and
-agreement come back None.
+census side is computed apart from it.  agreement needs both routes to
+agree twice: phi3 from the ranks equals the census formula, and the
+triangle count equals the census's k3 + d21 + k22.  When the graph contains
+a B2 sub-arrangement the census formula does not apply: census,
+phi3_formula and agreement come back None.
 """
 
 from dataclasses import asdict, dataclass
@@ -46,7 +48,7 @@ def build_report(g: SignedGraph) -> FalkReport:
         phi3_oracle=oracle,
         phi3_formula=formula,
         census=cen,
-        agreement=None if b2 else oracle == formula,
+        agreement=None if b2 else oracle == formula and count == cen.triangle_total(),
     )
 
 

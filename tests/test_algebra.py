@@ -131,30 +131,6 @@ def test_triangles_match_per_triple_reference_on_random_graphs(g):
     assert triangles(g) == triangles_by_triples(g)
 
 
-def test_triangles_raise_when_the_pattern_route_drops_a_triangle(monkeypatch, looped_wedge):
-    real = algebra._pattern_triangles
-
-    def dropping(g):
-        found = real(g)
-        del found[(1, 4, 6)]
-        return found
-
-    monkeypatch.setattr(algebra, "_pattern_triangles", dropping)
-    with pytest.raises(InternalKindMismatch, match=r"triple \(1, 4, 6\): rank route says dependent=True"):
-        triangles(looped_wedge)
-
-
-def test_triangles_raise_when_the_pattern_route_adds_a_triangle(monkeypatch, looped_wedge):
-    real = algebra._pattern_triangles
-
-    def adding(g):
-        return {**real(g), (1, 2, 4): "k3"}
-
-    monkeypatch.setattr(algebra, "_pattern_triangles", adding)
-    with pytest.raises(InternalKindMismatch, match=r"triple \(1, 2, 4\): rank route says dependent=False"):
-        triangles(looped_wedge)
-
-
 def test_parallel_normals_raise():
     # -e_1 + e_2 and e_1 - e_2 span a line: their wedge is zero
     normals = [((1, -1), (2, 1)), ((1, 1), (3, 1)), ((1, 1), (2, -1))]

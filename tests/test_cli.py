@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from falk3 import (
+    Census,
     DuplicateEdge,
     ParseError,
     SelfPairEdge,
@@ -248,20 +249,53 @@ def test_verify_sampled(capsys):
     assert capsys.readouterr().out.strip() == "25/25 graphs agree"
 
 
+def _plus_one(real):
+    return lambda *args: real(*args) + 1
+
+
+def _without_least_triple(real):
+    def dropping(normals):
+        found = real(normals)
+        return found - {min(found)} if found else found
+
+    return dropping
+
+
+_FIRST_BAD = "0/15 graphs agree\nfirst counterexample:\nbroken identity: {}\nvertices 2\n"
+
+
 @pytest.mark.parametrize(
-    "off_by_one, broken",
-    [(("phi3_formula",), "phi3"), (("phi3_formula", "dim_i3_2_formula"), "dim I3_2 closed form")],
+    "patches, out",
+    [
+        pytest.param([(report, "phi3_formula", _plus_one)], _FIRST_BAD.format("phi3"), id="off_by_one0-phi3"),
+        pytest.param(
+            [(report, "phi3_formula", _plus_one), (cli, "dim_i3_2_formula", _plus_one)],
+            _FIRST_BAD.format("dim I3_2 closed form"),
+            id="off_by_one1-dim I3_2 closed form",
+        ),
+        pytest.param(
+            [(algebra, "_rank_triples", _without_least_triple)],
+            "11/15 graphs agree\nfirst counterexample:\nbroken identity: triangle count\n"
+            "vertices 2\n+ 1 2\no 1\no 2\n",
+            id="triangle count",
+        ),
+        pytest.param(
+            [(Census, "triangle_total", _plus_one)],
+            _FIRST_BAD.format("triangle count"),
+            id="census triangle count",
+        ),
+    ],
 )
-def test_verify_names_the_broken_identity(monkeypatch, capsys, off_by_one, broken):
+def test_verify_names_the_broken_identity(monkeypatch, capsys, patches, out):
     # the report's census formula off by one makes every graph disagree; the
-    # dim I3_2 closed form is named when it disagrees with the rank side too
-    modules = {"phi3_formula": report, "dim_i3_2_formula": cli}
-    for name in off_by_one:
-        real = getattr(modules[name], name)
-        monkeypatch.setattr(modules[name], name, lambda *args, real=real: real(*args) + 1)
+    # dim I3_2 closed form is named when it disagrees with the rank side too.
+    # A rank route that drops a triangle breaks the four 2-vertex graphs with
+    # one, and the triangle count is named ahead of the rest; a census
+    # triangle total off by one breaks every graph, though phi3 still agrees
+    for module, name, wrap in patches:
+        monkeypatch.setattr(module, name, wrap(getattr(module, name)))
     assert main(["verify", "--vertices", "2", "--exhaustive"]) == 2
-    out = capsys.readouterr().out
-    assert out == f"0/15 graphs agree\nfirst counterexample:\nbroken identity: {broken}\nvertices 2\n"
+    assert capsys.readouterr().out == out
 
 
 def test_verify_goes_through_build_report_only(monkeypatch, capsys):

@@ -111,29 +111,42 @@ def test_census_and_rank_routes_import_nothing_from_each_other():
         raise AssertionError(f"the two routes import each other: {', '.join(found)}")
 
 
-def test_rank_route_reads_only_the_normals():
-    # the rank route checks the pattern route only while it never reads the
-    # graph's label maps, its vertex triangles or the census
-    forbidden = {
-        "_pattern_triangles", "_vertex_triangles", "_neighbours", "_sign_label", "_loop_label", "census",
-    }
-    trees = {path.name: tree for path, tree in _modules()}
-    route = next(
-        node
-        for node in ast.walk(trees["algebra.py"])
-        if isinstance(node, ast.FunctionDef) and node.name == "_rank_triples"
-    )
+def _names(node) -> set[str]:
+    """Every name a node spells: variables, attributes, imports and string constants."""
     named = set()
-    for node in ast.walk(route):
-        if isinstance(node, ast.Name):
-            named.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            named.add(node.attr)
-        elif isinstance(node, ast.alias):
-            named.update({node.name, node.asname} - {None})
-        elif isinstance(node, ast.ImportFrom):
-            named.update((node.module or "").split("."))  # from .census import x
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            named.add(node.value)  # getattr(g, "_sign_label") names it too
-    if named & forbidden:
-        raise AssertionError(f"_rank_triples names {sorted(named & forbidden)}")
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            named.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            named.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            named.update({sub.name, sub.asname} - {None})
+        elif isinstance(sub, ast.ImportFrom):
+            named.update((sub.module or "").split("."))  # from .census import x
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            named.add(sub.value)  # getattr(g, "_sign_label") names it too
+    return named
+
+
+def test_rank_route_reads_only_the_normals():
+    # the census checks the rank side's triangles only while the rank side
+    # never reads the graph's label maps, its pair -> signs table, its vertex
+    # triangles or the census; every function of algebra.py that rank_side
+    # or triangles calls, directly or through another, is held to this
+    forbidden = {"_vertex_triangles", "_neighbours", "_sign_label", "_loop_label", "_signs", "census"}
+    trees = {path.name: tree for path, tree in _modules()}
+    functions = {node.name: node for node in trees["algebra.py"].body if isinstance(node, ast.FunctionDef)}
+    todo = ["rank_side", "triangles"]
+    named = {}
+    while todo:
+        name = todo.pop()
+        if name not in named:
+            named[name] = _names(functions[name])
+            todo.extend(named[name] & functions.keys())
+    found = [
+        f"{name} names {sorted(names & forbidden)}"
+        for name, names in sorted(named.items())
+        if names & forbidden
+    ]
+    if found:
+        raise AssertionError(f"the rank side reads more than the normals: {', '.join(found)}")
