@@ -5,8 +5,8 @@ rank side uses int keys, see below); sparse vectors are plain dicts
 mapping key -> integer coefficient.  A "triangle"
 is a dependent label triple, i.e. three hyperplanes of rank 2.
 `_rank_triples` is the one triangle enumerator, and `triangles()` and
-`rank_side` both read it: it finds the dependent triples from the list of
-normals alone.  Every graph normal is +-e_s or +-e_s +- e_p, so a dependent
+`rank_side` both read it: it finds the dependent triples from the graph's
+edge list alone.  Every normal is e_s (a loop) or e_i -+ e_j, so a dependent
 triple lies on 2 vertices (a coordinate plane) or is one normal on each
 pair of 3 vertices, where one lookup of a direction sign decides it (see
 there).  A triple's kind (k3, d21, k22) is its number of loops (see
@@ -63,8 +63,8 @@ from dataclasses import dataclass
 from math import comb
 
 from . import rank
-from .errors import B2Present, InternalKindMismatch, RankMismatch
-from .graphs import LOOP, POS, Edge, SignedGraph
+from .errors import B2Present, RankMismatch
+from .graphs import LOOP, POS, SignedGraph
 # unused here, kept as module attributes: perfbench/spans.py wraps
 # algebra.exact_rank and algebra.bigint_rank, and stops if either is missing
 from .rank import bigint_rank, exact_rank  # noqa: F401
@@ -107,21 +107,16 @@ def wedge(label: int, vec: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _normal(e: Edge) -> tuple[tuple[int, int], ...]:
-    """Sparse integer normal of an edge's hyperplane as (vertex, coefficient) items."""
-    return ((e.i, 1),) if e.kind == LOOP else ((e.i, 1), (e.j, -1 if e.kind == POS else 1))
-
-
-def _rank_triples(normals) -> set[tuple[int, int, int]]:
+def _rank_triples(edges) -> set[tuple[int, int, int]]:
     """Rank route: the label triples (1-based) whose normals span at most a plane.
 
-    Precondition: every normal is a graph normal, ((s, +-1),) or
-    ((s, a), (p, b)) with s != p and a * b = +-1; any other raises
-    InternalKindMismatch naming the least such label.  A normal on s < p is
-    parallel to e_s + r e_p with r = a * b, so two normals are parallel
-    exactly when they have the same support and the same sign r, and one
-    index keyed (s, p, r) finds every parallel pair; of several, the least
-    is reported.
+    Precondition: `edges` is the edge tuple of a SignedGraph, whose
+    constructor puts every edge on i < j, every loop on i == j, and no
+    signed edge or loop twice.  A loop at s has normal e_s; an edge on
+    i < j has e_i - e_j (+) or e_i + e_j (-), parallel to e_i + r e_j with
+    r = -1 or 1.  Two loop normals are parallel only at one vertex, and two
+    edge normals only with the same support and the same r: either way the
+    same loop or signed edge twice, so no two normals are parallel.
 
     With no two normals parallel, a dependent triple has rank exactly 2, and
     each of its normals is a combination of the other two with both
@@ -143,28 +138,16 @@ def _rank_triples(normals) -> set[tuple[int, int, int]]:
       different vertices.
     The cost follows those pairs.
     """
-    lines: dict[tuple, list[int]] = {}  # (vertex,) for a loop, else (s, p, r) -> labels
-    up: dict[int, list[tuple[int, int, int]]] = {}  # s -> (p, label, r), p > s
-    for k, normal in enumerate(normals, start=1):
-        if len(normal) == 2:
-            (s, a), (p, b) = normal
-            r = a * b
-            if (r == 1 or r == -1) and s != p:
-                if s > p:
-                    s, p = p, s
-                up.setdefault(s, []).append((p, k, r))
-                lines.setdefault((s, p, r), []).append(k)
-                continue
-        elif len(normal) == 1 and normal[0][1] in (1, -1):
-            lines.setdefault((normal[0][0],), []).append(k)
-            continue
-        raise InternalKindMismatch(
-            f"label {k}: normal {normal} is not +-e_s or +-e_s +- e_p; the rank route needs one"
-        )
-    parallel = [tuple(ks[:2]) for ks in lines.values() if len(ks) > 1]
-    if parallel:
-        ku, kv = min(parallel)
-        raise InternalKindMismatch(f"labels {ku} and {kv} have parallel normals")
+    loops: dict[int, int] = {}  # vertex -> label of its loop
+    lines: dict[tuple[int, int, int], int] = {}  # (i, j, r) -> label
+    up: dict[int, list[tuple[int, int, int]]] = {}  # i -> (j, label, r), j > i
+    for k, e in enumerate(edges, start=1):
+        if e.kind == LOOP:
+            loops[e.i] = k
+        else:
+            r = -1 if e.kind == POS else 1
+            up.setdefault(e.i, []).append((e.j, k, r))
+            lines[e.i, e.j, r] = k
     found = set()
     for s, ups in up.items():
         # the coordinate plane of each pair s < p: its normals and the loops at s and p
@@ -172,7 +155,7 @@ def _rank_triples(normals) -> set[tuple[int, int, int]]:
         for p, k, _r in ups:
             on_pair.setdefault(p, []).append(k)
         for p, ks in on_pair.items():
-            group = ks + lines.get((s,), []) + lines.get((p,), [])
+            group = ks + [loops[v] for v in (s, p) if v in loops]
             if len(group) >= 3:
                 found.update(itertools.combinations(sorted(group), 3))
         ups.sort()
@@ -181,8 +164,8 @@ def _rank_triples(normals) -> set[tuple[int, int, int]]:
                 if q == p:
                     continue
                 w = lines.get((p, q, -r * t))
-                if w:
-                    found.add(tuple(sorted((ku, kv, w[0]))))
+                if w is not None:
+                    found.add(tuple(sorted((ku, kv, w))))
     return found
 
 
@@ -193,7 +176,7 @@ _KINDS = ("k3", "d21", "k22")
 def triangles(g: SignedGraph) -> list[Triangle]:
     """All dependent label triples, ascending, with kinds.
 
-    The rank route finds the triples from the list of normals alone.  Three
+    The rank route finds the triples from the edge list alone.  Three
     loops are independent, so a triple holds at most two, and the kind is
     their count: none is a k3 (a triple on 3 vertices holds no loop, see
     `_rank_triples`), one a d21 and two a k22 (on 2 vertices p < q, the
@@ -202,7 +185,7 @@ def triangles(g: SignedGraph) -> list[Triangle]:
     edges = g.edges
     return [
         Triangle(t, _KINDS[sum(edges[k - 1].kind == LOOP for k in t)])
-        for t in sorted(_rank_triples([_normal(e) for e in edges]))
+        for t in sorted(_rank_triples(edges))
     ]
 
 
@@ -336,12 +319,12 @@ def rank_side(g: SignedGraph) -> tuple[int, int, int, int]:
     One elimination over the rows with no private column, in three groups:
     the boundary rows of the 4-flat triangles (c0 pivots), the span rows
     (c1) and the unit rows (c2).  Every other row is counted, not eliminated.
-    On a B2-free graph only span rows enter, and dim I3_2 = dim span F3 +
-    #triangles; on a graph with B2 some e_T may already lie in span F3, and
-    the pass ranks those unit rows.  dim A^2 must equal C(n,2) - #triangles
-    when B2 is absent, else RankMismatch.
+    On a B2-free graph no label pair lies in two triangles, so only span
+    rows enter: dim A^2 = C(n,2) - #triangles and dim I3_2 = dim span F3 +
+    #triangles.  On a graph with B2 some e_T may already lie in span F3, and
+    the pass ranks those unit rows.  Reads only the graph's n and edges.
     """
-    tris = sorted(_rank_triples([_normal(e) for e in g.edges]))
+    tris = sorted(_rank_triples(g.edges))
     flats, jobs, private, units = _shared_rows(g.n, tris, _pair_counts(tris))
     base = g.n + 1
     # streamed: each row is built when the elimination reads it, never all at once
@@ -354,16 +337,11 @@ def rank_side(g: SignedGraph) -> tuple[int, int, int, int]:
         None,
     )
     a2 = comb(g.n, 2) - (len(tris) - len(flats)) - c0
-    counted = comb(g.n, 2) - len(tris)
-    if not g._b2 and a2 != counted:
-        raise RankMismatch(
-            f"triangle count gives dim A^2 = {counted} but boundary rows give {a2}"
-        )
     return len(tris), a2, private + c1 - c0, private + c2 - c0 + len(tris) - len(units)
 
 
 def dim_a2(g: SignedGraph) -> int:
-    """Degree-2 algebra dimension C(n,2) - #triangles, rank-checked; needs a B2-free graph."""
+    """Degree-2 algebra dimension C(n,2) - #triangles; needs a B2-free graph."""
     if g.contains_b2():
         raise B2Present("dim A^2 by triangle count needs a graph with no B2 sub-arrangement")
     return dim_a2_rank(g)

@@ -74,7 +74,8 @@ def _cmd_verify(args) -> int:
         if report.agreement:
             agreed += 1
         elif first_bad is None:
-            # dim A^2 was checked inside build_report: a mismatch raises RankMismatch
+            # a wrong triangle count breaks the two identities below it, and a
+            # wrong dim I3_2 breaks phi3, so the first one that breaks is named
             if report.triangle_count != report.census.triangle_total():
                 broken = "triangle count"
             elif report.dim_I3_2 != dim_i3_2_formula(g, report.census):

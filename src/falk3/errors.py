@@ -48,12 +48,14 @@ class B2Present(FalkError):
 
 
 class InternalKindMismatch(FalkError):
-    """The rank route was given normals no signed graph has: two parallel
-    normals, or a normal that is not +-e_s or +-e_s +- e_p."""
+    """Two routes to a graph's triangles disagree on a triple.
+
+    The package itself no longer raises it; it stays a public name for
+    callers that compare their own triangle routes."""
 
 
 class RankMismatch(FalkError):
-    """An exact rank disagreed with a value it must equal by construction."""
+    """Dimensions from exact ranks give a negative invariant (see phi3_from_dims)."""
 
 
 class ParseError(FalkError):

@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import random
-import re
 from math import comb
 
 import pytest
@@ -12,7 +11,6 @@ from hypothesis import strategies as st
 from falk3 import (
     B2Present,
     GenConfig,
-    InternalKindMismatch,
     RankMismatch,
     SignedGraph,
     bigint_rank,
@@ -42,6 +40,7 @@ from falk3 import (
 )
 from falk3 import algebra, rank
 from helpers import (
+    _dependent,
     b2_graph,
     graph_from_states,
     graphs_with_sigma,
@@ -131,139 +130,34 @@ def test_triangles_match_per_triple_reference_on_random_graphs(g):
     assert triangles(g) == triangles_by_triples(g)
 
 
-def test_parallel_normals_raise():
-    # -e_1 + e_2 and e_1 - e_2 span a line: their wedge is zero
-    normals = [((1, -1), (2, 1)), ((1, 1), (3, 1)), ((1, 1), (2, -1))]
-    with pytest.raises(InternalKindMismatch, match="labels 1 and 3 have parallel normals"):
-        algebra._rank_triples(normals)
-
-
 def test_rank_route_keeps_the_pair_of_two_loops():
     # loops leave no vertex upwards, so no direction is looked up for them; the
     # edge 12 opens the coordinate-plane group of 12, which takes in the loops at
     # both of its vertices
-    normals = [((1, 1),), ((2, 1),), ((1, 1), (2, -1))]
-    assert algebra._rank_triples(normals) == {(1, 2, 3)}
-    assert algebra._rank_triples(normals[:2]) == set()
-
-
-def test_rank_route_reports_the_least_parallel_pair():
-    # vertex 1 is met first and holds the parallel pair (3, 4); (2, 5) is less
-    normals = [
-        ((1, 1),),
-        ((2, 1), (3, -1)),
-        ((1, 1), (4, -1)),
-        ((4, 1), (1, -1)),
-        ((2, -1), (3, 1)),
-    ]
-    with pytest.raises(InternalKindMismatch, match="labels 2 and 5 have parallel normals"):
-        algebra._rank_triples(normals)
+    g = SignedGraph(2, [loop(1), loop(2), pos(1, 2)])
+    assert algebra._rank_triples(g.edges) == {(1, 2, 3)}
+    assert algebra._rank_triples(g.edges[:2]) == set()
 
 
 def test_rank_route_skips_disjoint_pairs_on_three_vertices():
     # a loop and an edge off its vertex span a plane that holds no third normal
-    normals = [((1, 1),), ((2, 1), (3, -1)), ((2, 1), (3, 1)), ((2, 1),)]
-    assert algebra._rank_triples(normals) == {(2, 3, 4)}
-
-
-def _assert_refused(normals, k):
-    # the message names label k and its normal
-    bad = re.escape(str(normals[k - 1]))
-    with pytest.raises(InternalKindMismatch, match=rf"^label {k}: normal {bad} is not"):
-        algebra._rank_triples(normals)
-
-
-def test_rank_route_refuses_a_normal_with_three_entries():
-    # labels 2 and 3 are both bad; the least is named
-    _assert_refused([((1, 1), (2, -1)), ((1, 1), (2, 1), (3, 1)), ((1, 1), (2, 1), (3, 1))], 2)
-
-
-@pytest.mark.parametrize("zero_entry_first", [False, True])
-def test_rank_route_refuses_a_zero_entry(zero_entry_first):
-    # no graph normal has a zero entry, not even where dropping it leaves a loop
-    loop_at_2 = ((1, 0), (2, 1)) if zero_entry_first else ((2, 1), (1, 0))
-    _assert_refused([((1, 1),), ((1, 1), (2, -1)), loop_at_2, ((1, 0),)], 3)
-
-
-@pytest.mark.parametrize(
-    "bad",
-    [((2, -2),), ((1, 1), (2, 2)), ((1, -2), (3, -2)), ((2, 1), (2, -1)), ((3, 1), (3, 1)), ()],
-)
-def test_rank_route_refuses_any_other_normal_no_graph_has(bad):
-    # an entry of +-2, a repeated vertex or no entry; labels 4 and 5 are both
-    # bad and the least is named, before the parallel pair (1, 2) is reported
-    _assert_refused([((1, 1), (3, -1)), ((3, 1), (1, -1)), ((2, 1),), bad, ((1, 2), (2, -1))], 4)
-
-
-def _closing_normal(u, v):
-    """For u on the vertices sp and v on sq, the normal on pq that lies in
-    their plane; None unless u and v are on two vertices each and share one."""
-    du, dv = dict(u), dict(v)
-    shared = du.keys() & dv.keys()
-    if len(du) != 2 or len(dv) != 2 or len(shared) != 1:
-        return None
-    (s,) = shared
-    (p,) = du.keys() - shared
-    (q,) = dv.keys() - shared
-    return ((p, dv[s] * du[p]), (q, -du[s] * dv[q]))  # dv[s] u - du[s] v, which is 0 at s
+    g = SignedGraph(3, [loop(1), pos(2, 3), neg(2, 3), loop(2)])
+    assert algebra._rank_triples(g.edges) == {(2, 3, 4)}
 
 
 @st.composite
-def normal_lists(draw):
-    """Up to 12 graph normals on up to 6 vertices: 1-2 entries of +-1 on
-    distinct vertices, in either vertex order.
-
-    Parallel pairs (same support, same sign ratio) are allowed; about half
-    the lists skip any normal parallel to an earlier one, so that dependent
-    triples, not the parallel check, decide the outcome.  Up to 3 normals,
-    each with either overall sign, close a dependent triple on 3 vertices,
-    which random draws rarely make; at least one does whenever some pair of
-    drawn normals has one (`_closing_normal`).
-    """
-    ell = draw(st.integers(1, 6))
-    skip_parallel = draw(st.booleans())
-    sign = st.sampled_from((1, -1))
-    drawn = []
-    for _ in range(draw(st.integers(0, 9))):
-        support = draw(st.lists(st.integers(1, ell), min_size=1, max_size=2, unique=True))
-        drawn.append(tuple((x, draw(sign)) for x in support))
-    closing = [w for u, v in itertools.combinations(drawn, 2) if (w := _closing_normal(u, v))]
-    for _ in range(draw(st.integers(1, 3)) if closing else 0):
-        w, c = draw(st.sampled_from(closing)), draw(sign)
-        drawn.insert(draw(st.integers(0, len(drawn))), tuple((x, c * a) for x, a in w))
-    out = []
-    for u in drawn:
-        if not (skip_parallel and any(_brute_force_rank([u, v], (1, 2)) <= 1 for v in out)):
-            out.append(u)
-    return out
+def shuffled_graphs(draw):
+    """A random signed graph on up to 5 vertices, B2 allowed, with its edge
+    list permuted, so that loops and edges interleave in label order."""
+    g = draw(signed_graphs(max_ell=5, allow_b2=True))
+    return SignedGraph(g.ell, draw(st.permutations(g.edges)))
 
 
-def _brute_force_rank(normals, labels):
-    vertices = sorted({x for k in labels for x, _c in normals[k - 1]})
-    col = {x: i for i, x in enumerate(vertices)}
-    rows = []
-    for k in labels:
-        row = [0] * len(vertices)
-        for x, c in normals[k - 1]:
-            row[col[x]] = c
-        rows.append(row)
-    return bigint_rank(rows)
-
-
-@given(normal_lists())
+@given(shuffled_graphs())
 @settings(max_examples=400, deadline=None)
-def test_rank_route_matches_brute_force_ranks(normals):
-    labels = range(1, len(normals) + 1)
-    rank1 = [p for p in itertools.combinations(labels, 2) if _brute_force_rank(normals, p) <= 1]
-    if rank1:
-        ku, kv = min(rank1)
-        with pytest.raises(InternalKindMismatch, match=rf"^labels {ku} and {kv} have parallel normals$"):
-            algebra._rank_triples(normals)
-    else:
-        expected = {
-            t for t in itertools.combinations(labels, 3) if _brute_force_rank(normals, t) <= 2
-        }
-        assert algebra._rank_triples(normals) == expected
+def test_rank_route_matches_brute_force_ranks(g):
+    expected = {t for t in itertools.combinations(range(1, g.n + 1), 3) if _dependent(g, t)}
+    assert algebra._rank_triples(g.edges) == expected
 
 
 def _reference_span_rows(g, tris):

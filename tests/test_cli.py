@@ -254,8 +254,8 @@ def _plus_one(real):
 
 
 def _without_least_triple(real):
-    def dropping(normals):
-        found = real(normals)
+    def dropping(edges):
+        found = real(edges)
         return found - {min(found)} if found else found
 
     return dropping

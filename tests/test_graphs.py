@@ -4,6 +4,7 @@ from hypothesis import given, settings
 
 from falk3 import (
     DuplicateEdge,
+    Edge,
     LabelOutOfRange,
     NotACycle,
     SelfPairEdge,
@@ -17,6 +18,7 @@ from falk3 import (
     neg,
     pos,
 )
+from falk3.graphs import LOOP, NEG
 from helpers import b2_graph, graphs_with_sigma, hub4_mixed, signed_graphs
 
 import itertools
@@ -40,6 +42,9 @@ def test_build_empty_graph():
 def test_build_normalizes_endpoint_order():
     g = SignedGraph(3, [pos(3, 1)])
     assert g.edge(1).pair == (1, 3)
+    # an Edge built directly is normalized too: a loop onto i == j, an edge onto i < j
+    g = SignedGraph(3, [Edge(LOOP, 2, 3), Edge(NEG, 3, 1)])
+    assert g.edges == (loop(2), neg(1, 3))
 
 
 def test_build_rejects_duplicates():
@@ -47,6 +52,10 @@ def test_build_rejects_duplicates():
         SignedGraph(2, [pos(1, 2), pos(2, 1)])
     with pytest.raises(DuplicateEdge):
         SignedGraph(2, [loop(1), loop(1)])
+    with pytest.raises(DuplicateEdge):
+        SignedGraph(2, [neg(1, 2), neg(2, 1)])
+    with pytest.raises(DuplicateEdge):
+        SignedGraph(2, [Edge(NEG, 1, 2), Edge(NEG, 2, 1)])
 
 
 def test_build_rejects_bad_vertices():
@@ -56,6 +65,8 @@ def test_build_rejects_bad_vertices():
         SignedGraph(2, [loop(0)])
     with pytest.raises(SelfPairEdge):
         SignedGraph(2, [pos(1, 1)])
+    with pytest.raises(ValueError, match="unknown kind 'x'"):
+        SignedGraph(2, [Edge("x", 1, 2)])
 
 
 def test_normal_vectors(looped_wedge):

@@ -128,12 +128,28 @@ def _names(node) -> set[str]:
     return named
 
 
-def test_rank_route_reads_only_the_normals():
+def _graph_reads(function) -> set[str]:
+    """The attributes a function reads on its parameters annotated SignedGraph."""
+    params = {
+        a.arg
+        for a in function.args.args + function.args.kwonlyargs
+        if isinstance(a.annotation, ast.Name) and a.annotation.id == "SignedGraph"
+    }
+    return {
+        node.attr
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in params
+    }
+
+
+def test_rank_side_reads_only_the_edge_list():
     # the census checks the rank side's triangles only while the rank side
     # never reads the graph's label maps, its pair -> signs table, its vertex
-    # triangles or the census; every function of algebra.py that rank_side
-    # or triangles calls, directly or through another, is held to this
+    # triangles, its B2 flag or the census; every function of algebra.py that
+    # rank_side or triangles calls, directly or through another, is held to
+    # this, and reads nothing of a SignedGraph but its edges and n
     forbidden = {"_vertex_triangles", "_neighbours", "_sign_label", "_loop_label", "_signs", "census"}
+    allowed = {"edges", "n"}
     trees = {path.name: tree for path, tree in _modules()}
     functions = {node.name: node for node in trees["algebra.py"].body if isinstance(node, ast.FunctionDef)}
     todo = ["rank_side", "triangles"]
@@ -148,5 +164,10 @@ def test_rank_route_reads_only_the_normals():
         for name, names in sorted(named.items())
         if names & forbidden
     ]
+    found += [
+        f"{name} reads {sorted(reads - allowed)} of its graph"
+        for name in sorted(named)
+        if (reads := _graph_reads(functions[name])) - allowed
+    ]
     if found:
-        raise AssertionError(f"the rank side reads more than the normals: {', '.join(found)}")
+        raise AssertionError(f"the rank side reads more than the edge list: {', '.join(found)}")
