@@ -34,9 +34,9 @@ generating set as the reference definition the tests rank against.
 Rows with a private column are counted, not eliminated.  If a column of a
 row set is nonzero in one row only, any vanishing combination gives that
 row the coefficient 0; so if each row of R1 has such a column, rank(all) =
-|R1| + rank(the rest).  Which rows have one is read off the triangle list:
-how many triangles hold each label pair (`_pair_counts`), and which labels
-share a triangle with each label.
+|R1| + rank(the rest).  Which rows have one is read off the triangle list
+in one pass (`_shared_rows`): how many triangles hold each label pair, and
+which labels share a triangle with each label.
 - Boundary rows (dim A^2): the row of T has the columns xy for the pairs of
   T, and xy is private when no other triangle holds it.  So only the
   triangles whose three pairs all lie in other triangles (the 4-flats) are
@@ -243,16 +243,7 @@ def _span_f3_row_stream(jobs, base: int):
                 yield {bc * base + t: 1, ac * base + t: -1, ab * base + t: 1}
 
 
-def _pair_counts(tris) -> dict[tuple[int, int], int]:
-    """How many triangles hold each label pair that some triangle holds."""
-    count: dict[tuple[int, int], int] = {}
-    for a, b, c in tris:
-        for pair in ((a, b), (a, c), (b, c)):
-            count[pair] = count.get(pair, 0) + 1
-    return count
-
-
-def _shared_rows(n: int, tris, pair_count) -> tuple[list, list, int, list]:
+def _shared_rows(n: int, tris) -> tuple[list, list, int, list]:
     """The rows with no private column: the triangles whose boundary row is
     kept, span-F3 row-stream jobs (a triangle and the bitmask of its kept t),
     the count of span rows left out, and the triangles whose unit row is kept.
@@ -266,11 +257,14 @@ def _shared_rows(n: int, tris, pair_count) -> tuple[list, list, int, list]:
     label t.
     """
     partners: dict[int, int] = {}  # label -> the labels of its triangles
+    pair_count: dict[tuple[int, int], int] = {}  # label pair -> the triangles holding it
     for tri in tris:
         a, b, c = tri
         mask = 1 << a | 1 << b | 1 << c
         for x in tri:
             partners[x] = partners.get(x, 0) | mask
+        for pair in ((a, b), (a, c), (b, c)):
+            pair_count[pair] = pair_count.get(pair, 0) + 1
     every = (1 << n + 1) - 2  # labels 1..n
     flats = []
     jobs = []
@@ -325,7 +319,7 @@ def rank_side(g: SignedGraph) -> tuple[int, int, int, int]:
     the pass ranks those unit rows.  Reads only the graph's n and edges.
     """
     tris = sorted(_rank_triples(g.edges))
-    flats, jobs, private, units = _shared_rows(g.n, tris, _pair_counts(tris))
+    flats, jobs, private, units = _shared_rows(g.n, tris)
     base = g.n + 1
     # streamed: each row is built when the elimination reads it, never all at once
     c0, c1, c2 = rank._eliminate(
@@ -341,7 +335,11 @@ def rank_side(g: SignedGraph) -> tuple[int, int, int, int]:
 
 
 def dim_a2(g: SignedGraph) -> int:
-    """Degree-2 algebra dimension C(n,2) - #triangles; needs a B2-free graph."""
+    """Degree-2 algebra dimension, the value `rank_side` gives.
+
+    It equals C(n,2) - #triangles on a B2-free graph; a graph with B2 is
+    refused by contract, though `dim_a2_rank` would answer for it.
+    """
     if g.contains_b2():
         raise B2Present("dim A^2 by triangle count needs a graph with no B2 sub-arrangement")
     return dim_a2_rank(g)

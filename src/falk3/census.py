@@ -64,52 +64,60 @@ def census(g: SignedGraph) -> Census:
     """Count the eight classes by local enumeration over vertex tuples.
 
     Every count comes from the graph's pair -> signs table and its loop
-    set.  Vertex triples and 4-sets are reached through the graph's
-    neighbour map, so the cost grows with the edges, not with the number of
-    vertices.
+    set.  The census builds its own vertex -> neighbours map from the pair
+    table, then walks the pair table once: each pair ab gives its d21 and
+    k22 counts, and meets each vertex triangle a < b < c through a common
+    neighbour c > b, and each 4-set a < b < c < d through a further common
+    neighbour d > c.  So the cost grows with the edges, not with the number
+    of vertices.
     """
     if g.contains_b2():
         raise B2Present("the census is defined for graphs with no B2 sub-arrangement")
 
     signs = g._signs
     looped = set(g._loop_label)
-    adj = g._neighbours
+    adj: dict[int, set[int]] = {}  # vertex -> the vertices it shares a non-loop edge with
+    for i, j in signs:
+        adj.setdefault(i, set()).add(j)
+        adj.setdefault(j, set()).add(i)
 
     k3 = k4 = d3 = d21 = k22 = k33 = g_circ = d31 = 0
 
-    for a, b, c in g._vertex_triangles:
-        sab, sbc, sac = signs[(a, b)], signs[(b, c)], signs[(a, c)]
-        # sign choices, one per pair, with product +1: a pair holding both
-        # signs matches each choice with its negation, so then exactly half
-        if len(sab) == len(sbc) == len(sac) == 1:
-            balanced = int(sab[0] * sbc[0] * sac[0] == 1)
-        else:
-            balanced = len(sab) * len(sbc) * len(sac) // 2
-        k3 += balanced
-        nloops = (a in looped) + (b in looped) + (c in looped)
-        if nloops == 3:
-            k33 += balanced
-        if len(sab) == len(sbc) == len(sac) == 2:
-            if nloops == 0:
-                d3 += 1
-            d31 += nloops
-        for d in adj[a] & adj[b] & adj[c]:
-            if d < c:
-                continue
-            sad, sbd, scd = signs[(a, d)], signs[(b, d)], signs[(c, d)]
-            k4 += sum(
-                1
-                for xb, xc, xd, xbc, xbd, xcd in _K4_SWITCHINGS
-                if xb in sab and xc in sac and xd in sad
-                and xbc in sbc and xbd in sbd and xcd in scd
-            )
-
-    for (i, j), s in signs.items():
-        ends = (i in looped) + (j in looped)
-        if len(s) == 2:
+    for (a, b), sab in signs.items():
+        ends = (a in looped) + (b in looped)
+        if len(sab) == 2:
             d21 += ends
         if ends == 2:
-            k22 += len(s)
+            k22 += len(sab)
+        common = adj[a] & adj[b]
+        for c in common:
+            if c < b:
+                continue
+            sbc, sac = signs[(b, c)], signs[(a, c)]
+            # sign choices, one per pair, with product +1: a pair holding both
+            # signs matches each choice with its negation, so then exactly half
+            if len(sab) == len(sbc) == len(sac) == 1:
+                balanced = int(sab[0] * sbc[0] * sac[0] == 1)
+            else:
+                balanced = len(sab) * len(sbc) * len(sac) // 2
+            k3 += balanced
+            nloops = ends + (c in looped)
+            if nloops == 3:
+                k33 += balanced
+            if len(sab) == len(sbc) == len(sac) == 2:
+                if nloops == 0:
+                    d3 += 1
+                d31 += nloops
+            for d in common & adj[c]:
+                if d < c:
+                    continue
+                sad, sbd, scd = signs[(a, d)], signs[(b, d)], signs[(c, d)]
+                k4 += sum(
+                    1
+                    for xb, xc, xd, xbc, xbd, xcd in _K4_SWITCHINGS
+                    if xb in sab and xc in sac and xd in sad
+                    and xbc in sbc and xbd in sbd and xcd in scd
+                )
 
     for apex in looped:
         doubled = sorted(

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -131,31 +130,6 @@ class SignedGraph:
             signs[i, j] = (1, -1) if (i, j) in signs else (s,)
         return signs
 
-    @cached_property
-    def _neighbours(self) -> dict[int, set[int]]:
-        """Vertex -> the vertices it shares a non-loop edge with; edgeless vertices are absent."""
-        adj: dict[int, set[int]] = {}
-        for i, j in self._signs:
-            adj.setdefault(i, set()).add(j)
-            adj.setdefault(j, set()).add(i)
-        return adj
-
-    @cached_property
-    def _vertex_triangles(self) -> list[tuple[int, int, int]]:
-        """Vertex triples a < b < c joined pairwise by edges, in no fixed order;
-        found once, for the census.
-
-        Each is an edge pair a < b plus a common neighbour c > b, so the cost
-        grows with the edges, not with the C(ell,3) vertex triples.
-        """
-        adj = self._neighbours
-        return [
-            (a, b, c)
-            for a, b in self._signs
-            for c in adj[a] & adj[b]
-            if c > b
-        ]
-
     # -- hyperplane geometry ---------------------------------------------
 
     def normal_vector(self, label: int) -> np.ndarray:
@@ -219,47 +193,16 @@ class SignedGraph:
                 out.append(Edge(POS if s == 1 else NEG, e.i, e.j))
         return SignedGraph(self.ell, out)
 
-    def _forest_normal_form(self, pairs) -> dict[tuple[int, int], int]:
-        """Signs of the single-sign pairs after spanning-forest switching.
-
-        Doubled pairs carry both signs whatever the switching does, so they
-        constrain nothing and must not enter the forest; the BFS runs on the
-        single-sign pairs alone, from the smallest vertex of each component,
-        and switches every forest pair positive.  Within a component the
-        leftover freedom is one global sign, which cancels in every product
-        sigma_i * sigma_j, so the result is a true canonical form.
-        """
-        adj: dict[int, list[int]] = {v: [] for v in range(1, self.ell + 1)}
-        for (i, j), signs in pairs.items():
-            if len(signs) == 1:
-                adj[i].append(j)
-                adj[j].append(i)
-        for v in adj:
-            adj[v].sort()
-        sigma: dict[int, int] = {}
-        for root in range(1, self.ell + 1):
-            if root in sigma:
-                continue
-            sigma[root] = 1
-            queue = deque([root])
-            while queue:
-                u = queue.popleft()
-                for w in adj[u]:
-                    if w in sigma:
-                        continue
-                    sigma[w] = sigma[u] * pairs[(min(u, w), max(u, w))][0]
-                    queue.append(w)
-        return {
-            (i, j): sigma[i] * sigma[j] * signs[0]
-            for (i, j), signs in pairs.items()
-            if len(signs) == 1
-        }
-
     def is_switching_equivalent(self, other: SignedGraph) -> bool:
         """True iff some switching of self has the same signed edges as other.
 
         Both graphs must share the underlying multigraph: the same pairs
-        carrying one or two edges and the same loop set.
+        carrying one or two edges and the same loop set.  A doubled pair
+        carries both signs under every switching, so it constrains nothing;
+        a single pair ij asks sigma_i sigma_j = d, the product of its signs
+        in the two graphs.  One walk over the single pairs fixes sigma from
+        a root in each component and stops at the first pair that
+        contradicts it.
         """
         if self.ell != other.ell:
             raise UnderlyingGraphMismatch("vertex counts differ")
@@ -268,7 +211,27 @@ class SignedGraph:
         p1, p2 = self._signs, other._signs
         if set(p1) != set(p2) or any(len(p1[q]) != len(p2[q]) for q in p1):
             raise UnderlyingGraphMismatch("edge pairs or multiplicities differ")
-        return self._forest_normal_form(p1) == other._forest_normal_form(p2)
+        adj: dict[int, list[tuple[int, int]]] = {}  # vertex -> (neighbour, d) over single pairs
+        for (i, j), signs in p1.items():
+            if len(signs) == 1:
+                d = signs[0] * p2[i, j][0]
+                adj.setdefault(i, []).append((j, d))
+                adj.setdefault(j, []).append((i, d))
+        sigma: dict[int, int] = {}
+        for root in adj:
+            if root in sigma:
+                continue
+            sigma[root] = 1
+            todo = [root]
+            while todo:
+                u = todo.pop()
+                for w, d in adj[u]:
+                    if w not in sigma:
+                        sigma[w] = sigma[u] * d
+                        todo.append(w)
+                    elif sigma[w] != sigma[u] * d:
+                        return False
+        return True
 
     # -- forbidden sub-arrangement -----------------------------------------
 

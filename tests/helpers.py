@@ -98,7 +98,9 @@ def signed_graphs(draw, min_ell=1, max_ell=5, allow_b2=True):
             looped = [g.edge(k).i for k in w if g.edge(k).is_loop]
             keep.discard(looped[0])
         g = graph_from_states(ell, states, [v in keep for v in range(1, ell + 1)])
-    return g
+    # graph_from_states labels positive edges, then negative ones, then loops;
+    # a drawn order lets loops and negative edges take any label
+    return SignedGraph(ell, draw(st.permutations(g.edges)))
 
 
 @st.composite

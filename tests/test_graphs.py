@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from falk3 import (
     DuplicateEdge,
@@ -18,7 +19,7 @@ from falk3 import (
     neg,
     pos,
 )
-from falk3.graphs import LOOP, NEG
+from falk3.graphs import LOOP, NEG, POS
 from helpers import b2_graph, graphs_with_sigma, hub4_mixed, signed_graphs
 
 import itertools
@@ -176,6 +177,41 @@ def test_doubled_pair_bridging_two_single_edges():
     assert g.is_switching_equivalent(unbalanced)  # same orbit: no cycle over single pairs
     isolated = SignedGraph(4, [pos(1, 2), neg(1, 2), pos(3, 4)])
     assert isolated.is_switching_equivalent(isolated.switch((1, -1, -1, 1)))
+
+
+def _equivalent_by_search(g: SignedGraph, h: SignedGraph) -> bool:
+    """Reference: some one of the 2^ell switchings of g has h's signed edges."""
+    want = set(h.edges)
+    return any(set(g.switch(sigma).edges) == want for sigma in itertools.product((1, -1), repeat=g.ell))
+
+
+@given(graphs_with_sigma(max_ell=5), st.integers(0, 9))
+@settings(max_examples=300, deadline=None)
+def test_switching_equivalence_matches_exhaustive_search(gs, pick):
+    g, sigma = gs
+    h = g.switch(sigma)
+    assert g.is_switching_equivalent(h) and _equivalent_by_search(g, h)
+    # flipping one single pair leaves the class exactly when that pair lies
+    # on a cycle of single pairs, so many of these are not equivalent
+    singles = [k for k, e in enumerate(h.edges) if not e.is_loop and len(h.signs_on(e.i, e.j)) == 1]
+    if singles:
+        k = singles[pick % len(singles)]
+        e = h.edges[k]
+        edges = list(h.edges)
+        edges[k] = Edge(NEG if e.kind == POS else POS, e.i, e.j)
+        flipped = SignedGraph(g.ell, edges)
+        assert g.is_switching_equivalent(flipped) == _equivalent_by_search(g, flipped)
+        assert flipped.is_switching_equivalent(g) == g.is_switching_equivalent(flipped)
+
+
+def test_switching_equivalence_checks_every_component():
+    # the edge 12 is one component and the triangle 345 another; only the
+    # triangle's sign differs, so a walk of the first component alone misses it
+    g = SignedGraph(5, [pos(1, 2), pos(3, 4), pos(4, 5), pos(3, 5)])
+    h = SignedGraph(5, [pos(1, 2), pos(3, 4), pos(4, 5), neg(3, 5)])
+    assert not g.is_switching_equivalent(h)
+    assert not h.is_switching_equivalent(g)
+    assert not _equivalent_by_search(g, h)
 
 
 def test_b2_detection():

@@ -171,3 +171,18 @@ def test_rank_side_reads_only_the_edge_list():
     ]
     if found:
         raise AssertionError(f"the rank side reads more than the edge list: {', '.join(found)}")
+
+
+def test_census_reads_only_the_pair_table():
+    # the census builds its neighbour map and its vertex triangles itself, so
+    # of a SignedGraph it reads the pair -> signs table, the loops, the B2
+    # flag and n, and no table the graph keeps for anyone else
+    allowed = {"_signs", "_loop_label", "contains_b2", "n"}
+    trees = {path.name: tree for path, tree in _modules()}
+    found = [
+        f"{node.name} reads {sorted(reads - allowed)} of its graph"
+        for node in ast.walk(trees["census.py"])
+        if isinstance(node, ast.FunctionDef) and (reads := _graph_reads(node)) - allowed
+    ]
+    if found:
+        raise AssertionError(f"the census reads more than the pair table: {', '.join(found)}")
