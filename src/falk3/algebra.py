@@ -335,13 +335,13 @@ def rank_side(g: SignedGraph) -> tuple[int, int, int, int]:
 
 
 def dim_a2(g: SignedGraph) -> int:
-    """Degree-2 algebra dimension, the value `rank_side` gives.
+    """Degree-2 algebra dimension of a B2-free graph, the value `rank_side` gives.
 
-    It equals C(n,2) - #triangles on a B2-free graph; a graph with B2 is
-    refused by contract, though `dim_a2_rank` would answer for it.
+    It equals C(n,2) - #triangles.  A graph with B2 is refused by contract;
+    `dim_a2_rank` answers for any graph.
     """
     if g.contains_b2():
-        raise B2Present("dim A^2 by triangle count needs a graph with no B2 sub-arrangement")
+        raise B2Present("dim_a2 refuses B2 graphs by contract; dim_a2_rank answers for any graph")
     return dim_a2_rank(g)
 
 

@@ -61,15 +61,17 @@ _K4_SWITCHINGS = tuple(
 
 
 def census(g: SignedGraph) -> Census:
-    """Count the eight classes by local enumeration over vertex tuples.
+    """Count the eight classes in one walk over the graph's pair table.
 
     Every count comes from the graph's pair -> signs table and its loop
     set.  The census builds its own vertex -> neighbours map from the pair
     table, then walks the pair table once: each pair ab gives its d21 and
     k22 counts, and meets each vertex triangle a < b < c through a common
     neighbour c > b, and each 4-set a < b < c < d through a further common
-    neighbour d > c.  So the cost grows with the edges, not with the number
-    of vertices.
+    neighbour d > c.  A triangle gives k3, k33, d3 and d31 and, when two of
+    its pairs are doubled and its base is single, g_circ: its apex is the
+    vertex off that base.  So the cost grows with the edges, not with the
+    number of vertices.
     """
     if g.contains_b2():
         raise B2Present("the census is defined for graphs with no B2 sub-arrangement")
@@ -108,6 +110,9 @@ def census(g: SignedGraph) -> Census:
                 if nloops == 0:
                     d3 += 1
                 d31 += nloops
+            elif len(sab) + len(sbc) + len(sac) == 5:
+                # two doubled legs meet at the apex, the vertex off the single base
+                g_circ += (c if len(sab) == 1 else a if len(sbc) == 1 else b) in looped
             for d in common & adj[c]:
                 if d < c:
                     continue
@@ -118,14 +123,6 @@ def census(g: SignedGraph) -> Census:
                     if xb in sab and xc in sac and xd in sad
                     and xbc in sbc and xbd in sbd and xcd in scd
                 )
-
-    for apex in looped:
-        doubled = sorted(
-            u for u in adj.get(apex, ()) if len(signs[(min(u, apex), max(u, apex))]) == 2
-        )
-        for a, c in itertools.combinations(doubled, 2):
-            if len(signs.get((a, c), ())) == 1:
-                g_circ += 1
 
     return Census(k3, k4, d3, d21, k22, k33, g_circ, d31)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import (
     DuplicateEdge,
@@ -68,6 +67,7 @@ class SignedGraph:
         normalized = []
         # the label maps double as the duplicate check: tuple keys hash faster than Edge
         self._sign_label: dict[tuple[int, int, int], int] = {}  # (i, j, sign) -> label
+        self._signs: dict[tuple[int, int], tuple[int, ...]] = {}  # i < j -> signs, positive first
         self._loop_label: dict[int, int] = {}
         for label, e in enumerate(edges, start=1):
             kind, i, j = e.kind, e.i, e.j
@@ -87,15 +87,24 @@ class SignedGraph:
                 if i > j:
                     i, j = j, i
                     e = Edge(kind, i, j)
-                key = (i, j, 1 if kind == POS else -1)
-                if key in self._sign_label:
+                s = 1 if kind == POS else -1
+                if (i, j, s) in self._sign_label:
                     raise DuplicateEdge(f"duplicate {kind!r} edge at {(i, j)}", label)
-                self._sign_label[key] = label
+                self._sign_label[i, j, s] = label
+                # a pair met twice holds both signs
+                self._signs[i, j] = (1, -1) if (i, j) in self._signs else (s,)
             normalized.append(e)
 
         self.ell = ell
         self.edges: tuple[Edge, ...] = tuple(normalized)
         self.n = len(self.edges)
+        # the B2 witnesses {+ij, -ij, loop i, loop j}: sorted label 4-tuples, in ascending order
+        labels, loops = self._sign_label, self._loop_label
+        self._b2: tuple[tuple[int, int, int, int], ...] = tuple(sorted(
+            tuple(sorted((labels[i, j, 1], labels[i, j, -1], loops[i], loops[j])))
+            for (i, j), signs in self._signs.items()
+            if len(signs) == 2 and i in loops and j in loops
+        ))
 
     # -- basic accessors ------------------------------------------------
 
@@ -120,15 +129,6 @@ class SignedGraph:
 
     def loop_label(self, v: int) -> int | None:
         return self._loop_label.get(v)
-
-    @cached_property
-    def _signs(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """Pair i < j -> the signs of its edges, positive first; pairs with no edge are absent."""
-        signs: dict[tuple[int, int], tuple[int, ...]] = {}
-        for i, j, s in self._sign_label:
-            # a pair met twice holds both signs
-            signs[i, j] = (1, -1) if (i, j) in signs else (s,)
-        return signs
 
     # -- hyperplane geometry ---------------------------------------------
 
@@ -234,19 +234,6 @@ class SignedGraph:
         return True
 
     # -- forbidden sub-arrangement -----------------------------------------
-
-    @cached_property
-    def _b2(self) -> tuple[tuple[int, int, int, int], ...]:
-        """The witnesses, found once: the graph never changes after __init__."""
-        out = []
-        for (i, j, s) in self._sign_label:
-            if s != 1:
-                continue
-            nl = self._sign_label.get((i, j, -1))
-            li, lj = self._loop_label.get(i), self._loop_label.get(j)
-            if nl is not None and li is not None and lj is not None:
-                out.append(tuple(sorted((self._sign_label[(i, j, 1)], nl, li, lj))))
-        return tuple(sorted(out))
 
     def b2_witnesses(self) -> list[tuple[int, int, int, int]]:
         """Label 4-sets {+ij, -ij, loop i, loop j}, sorted ascending; a fresh list per call."""

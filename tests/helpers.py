@@ -88,7 +88,12 @@ def triangles_by_triples(g: SignedGraph) -> list[Triangle]:
 def signed_graphs(draw, min_ell=1, max_ell=5, allow_b2=True):
     ell = draw(st.integers(min_ell, max_ell))
     n_pairs = ell * (ell - 1) // 2
+    # a pair takes its drawn state when its draw is at most the graph's density,
+    # so sparse, disconnected graphs come up as well as dense ones
+    density = draw(st.integers(1, 4))
     states = draw(st.tuples(*[st.integers(0, 3)] * n_pairs))
+    kept = draw(st.tuples(*[st.integers(1, 4)] * n_pairs))
+    states = [s if k <= density else 0 for s, k in zip(states, kept)]
     loops = draw(st.tuples(*[st.booleans()] * ell))
     g = graph_from_states(ell, states, loops)
     if not allow_b2 and g.contains_b2():

@@ -234,7 +234,7 @@ def test_dims_hub4(hub4):
 
 
 def test_dim_a2_rejects_b2():
-    with pytest.raises(B2Present):
+    with pytest.raises(B2Present, match="refuses B2 graphs by contract; dim_a2_rank answers for any graph"):
         dim_a2(b2_graph())
 
 

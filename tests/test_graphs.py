@@ -185,6 +185,12 @@ def _equivalent_by_search(g: SignedGraph, h: SignedGraph) -> bool:
     return any(set(g.switch(sigma).edges) == want for sigma in itertools.product((1, -1), repeat=g.ell))
 
 
+def _beside(g: SignedGraph, h: SignedGraph) -> SignedGraph:
+    """g on vertices 1..g.ell and h on the next h.ell vertices, g's edges labelled first."""
+    shifted = [Edge(e.kind, e.i + g.ell, e.j + g.ell) for e in h.edges]
+    return SignedGraph(g.ell + h.ell, list(g.edges) + shifted)
+
+
 @given(graphs_with_sigma(max_ell=5), st.integers(0, 9))
 @settings(max_examples=300, deadline=None)
 def test_switching_equivalence_matches_exhaustive_search(gs, pick):
@@ -200,8 +206,12 @@ def test_switching_equivalence_matches_exhaustive_search(gs, pick):
         edges = list(h.edges)
         edges[k] = Edge(NEG if e.kind == POS else POS, e.i, e.j)
         flipped = SignedGraph(g.ell, edges)
-        assert g.is_switching_equivalent(flipped) == _equivalent_by_search(g, flipped)
-        assert flipped.is_switching_equivalent(g) == g.is_switching_equivalent(flipped)
+        same = _equivalent_by_search(g, flipped)
+        assert g.is_switching_equivalent(flipped) == same
+        assert flipped.is_switching_equivalent(g) == same
+        # side by side with g, the flipped copy lies outside the component
+        # holding the first label, so every component must be walked
+        assert _beside(g, g).is_switching_equivalent(_beside(g, flipped)) == same
 
 
 def test_switching_equivalence_checks_every_component():
@@ -235,6 +245,42 @@ def test_b2_witnesses_are_a_fresh_list_per_call():
     got.append((9, 9, 9, 9))
     assert g.b2_witnesses() == [(1, 2, 3, 4)]
     assert g.contains_b2()
+
+
+def _b2_by_definition(g: SignedGraph) -> list[tuple[int, ...]]:
+    """Reference: every label 4-set, ascending, whose edges are +ij, -ij and the loops at i and j."""
+    found = []
+    for quad in itertools.combinations(range(1, g.n + 1), 4):
+        es = [g.edges[k - 1] for k in quad]
+        ends = tuple(sorted(e.i for e in es if e.is_loop))
+        links = sorted((e.kind, e.pair) for e in es if not e.is_loop)
+        if len(ends) == 2 and links == [(POS, ends), (NEG, ends)]:
+            found.append(quad)
+    return found
+
+
+@st.composite
+def _graphs_with_witnesses(draw):
+    """A drawn graph with B2 completed on up to three drawn pairs, in a drawn edge order."""
+    g = draw(signed_graphs(min_ell=2, max_ell=5, allow_b2=True))
+    pairs = draw(st.sets(st.sampled_from(list(itertools.combinations(range(1, g.ell + 1), 2))), max_size=3))
+    edges = set(g.edges)
+    for i, j in pairs:
+        edges |= {pos(i, j), neg(i, j), loop(i), loop(j)}
+    return SignedGraph(g.ell, draw(st.permutations(sorted(edges))))
+
+
+@given(_graphs_with_witnesses())
+@settings(max_examples=60, deadline=None)
+def test_tables_match_the_edge_list(g):
+    # the constructor fills the pair -> signs table and the B2 witnesses in
+    # its one walk over the edges; in a drawn edge order the witnesses' labels
+    # come in any order
+    assert g.b2_witnesses() == _b2_by_definition(g)
+    assert g.contains_b2() == bool(g.b2_witnesses())
+    for i, j in itertools.combinations(range(1, g.ell + 1), 2):
+        signs = {e.sign for e in g.edges if not e.is_loop and e.pair == (i, j)}
+        assert g.signs_on(i, j) == g.signs_on(j, i) == tuple(sorted(signs, reverse=True))
 
 
 @given(graphs_with_sigma(max_ell=4))

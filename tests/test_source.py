@@ -186,3 +186,44 @@ def test_census_reads_only_the_pair_table():
     ]
     if found:
         raise AssertionError(f"the census reads more than the pair table: {', '.join(found)}")
+
+
+def test_no_cached_property_in_the_package():
+    # every table is filled where its graph is built, so no state is derived
+    # lazily after construction
+    found = [path.name for path, tree in _modules() if "cached_property" in _names(tree)]
+    if found:
+        raise AssertionError(f"cached_property in the package: {', '.join(found)}")
+
+
+def _self_table_writes(function):
+    """The `self._*` attributes a method assigns, or writes an item of."""
+    for node in ast.walk(function):
+        if isinstance(node, (ast.Attribute, ast.Subscript)) and isinstance(node.ctx, ast.Store):
+            target = node.value if isinstance(node, ast.Subscript) else node
+            if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name):
+                if target.value.id == "self" and target.attr.startswith("_"):
+                    yield target.attr
+
+
+def test_graph_tables_are_written_only_in_init():
+    # a SignedGraph never changes after __init__, so its tables are filled there
+    trees = {path.name: tree for path, tree in _modules()}
+    found = [
+        f"{node.name}:{node.lineno} writes {attr}"
+        for node in ast.walk(trees["graphs.py"])
+        if isinstance(node, ast.FunctionDef) and node.name != "__init__"
+        for attr in _self_table_writes(node)
+    ]
+    if found:
+        raise AssertionError(f"graph tables written outside __init__: {', '.join(found)}")
+
+
+def test_contains_b2_is_a_method_of_the_class():
+    # the per-layer benchmark wraps SignedGraph.__dict__["contains_b2"] to count
+    # its calls, so it stays a plain method defined on the class
+    from falk3 import SignedGraph
+
+    method = SignedGraph.__dict__.get("contains_b2")
+    if not callable(method):
+        raise AssertionError(f"SignedGraph.__dict__ holds no contains_b2 method: {method!r}")
