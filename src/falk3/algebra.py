@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from . import rank
@@ -70,16 +70,15 @@ from .graphs import LOOP, POS, SignedGraph
 from .rank import bigint_rank, exact_rank  # noqa: F401
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(namedtuple("Triangle", "labels kind")):
     """A dependent label triple and the census bucket it falls in.
 
-    kind is "k3" (balanced 3-cycle), "d21" (doubled pair plus a loop at one
-    of its endpoints) or "k22" (single edge plus loops at both endpoints).
+    labels is the ascending label triple; kind is "k3" (balanced 3-cycle),
+    "d21" (doubled pair plus a loop at one of its endpoints) or "k22"
+    (single edge plus loops at both endpoints).
     """
 
-    labels: tuple[int, int, int]
-    kind: str
+    __slots__ = ()
 
 
 def boundary(subset) -> dict[tuple, int]:

@@ -7,14 +7,13 @@ doubled pair always carries one edge of each sign.
 """
 
 import itertools
-from dataclasses import asdict, astuple, dataclass
+from collections import namedtuple
 
 from .errors import B2Present
 from .graphs import SignedGraph
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(namedtuple("Census", "k3 k4 d3 d21 k22 k33 g_circ d31", defaults=(0,) * 8)):
     """Counts of the eight dependent-structure subgraph classes.
 
     k3      balanced triangles: one edge per pair of a vertex triple, signs
@@ -30,22 +29,17 @@ class Census:
             where the opposite-sign base edge is absent from the graph;
     d31     all six signed edges on a vertex triple plus one loop at one of
             its vertices.
+
+    Every count defaults to 0.
     """
 
-    k3: int = 0
-    k4: int = 0
-    d3: int = 0
-    d21: int = 0
-    k22: int = 0
-    k33: int = 0
-    g_circ: int = 0
-    d31: int = 0
+    __slots__ = ()
 
     def as_dict(self) -> dict[str, int]:
-        return asdict(self)
+        return self._asdict()
 
     def as_tuple(self) -> tuple[int, ...]:
-        return astuple(self)
+        return tuple(self)
 
     def triangle_total(self) -> int:
         return self.k3 + self.d21 + self.k22

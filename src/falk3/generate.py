@@ -6,23 +6,28 @@ by ascending vertex.
 """
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .graphs import LOOP, NEG, POS, Edge, SignedGraph
 
 
-@dataclass(frozen=True)
-class GenConfig:
-    """Sampler parameters; (seed, config) fully determines the output stream."""
+class GenConfig(
+    namedtuple(
+        "GenConfig",
+        "ell edge_prob_pos edge_prob_neg loop_prob seed samples",
+        defaults=(0.5, 0.3, 0.3, 0, 1),
+    )
+):
+    """Sampler parameters; (seed, config) fully determines the output stream.
 
-    ell: int
-    edge_prob_pos: float = 0.5
-    edge_prob_neg: float = 0.3
-    loop_prob: float = 0.3
-    seed: int = 0
-    samples: int = 1
+    Defaults: edge_prob_pos 0.5, edge_prob_neg 0.3, loop_prob 0.3, seed 0,
+    samples 1.  The values are checked when the config is built.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.ell < 1:
             raise ValueError(f"ell must be at least 1, got {self.ell}")
         for name in ("edge_prob_pos", "edge_prob_neg", "loop_prob"):
@@ -31,6 +36,7 @@ class GenConfig:
                 raise ValueError(f"{name} must lie in [0, 1], got {p}")
         if self.samples < 1:
             raise ValueError(f"samples must be at least 1, got {self.samples}")
+        return self
 
 
 def _build(ell, pos_pairs, neg_pairs, loops) -> SignedGraph:

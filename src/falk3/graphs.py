@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     DuplicateEdge,
@@ -24,13 +24,10 @@ from .errors import (
 POS, NEG, LOOP = "+", "-", "o"
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
+class Edge(namedtuple("Edge", "kind i j")):
     """One edge: kind '+' or '-' on a pair i < j, or 'o' for a loop (i == j)."""
 
-    kind: str
-    i: int
-    j: int
+    __slots__ = ()
 
     @property
     def is_loop(self) -> bool:

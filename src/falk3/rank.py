@@ -23,9 +23,12 @@ SCREEN_PRIME = 2_147_483_647
 
 
 def _sparse_rows(m) -> list[dict]:
-    """Rows of `m` as dicts: a list of dict rows as it is, a dense 2-d matrix row by row."""
+    """Rows of `m` as fresh dicts without zeros, from a list of dict rows or a dense 2-d matrix.
+
+    The rows are copies, so the elimination that takes them never mutates the caller's.
+    """
     if isinstance(m, list) and all(isinstance(row, dict) for row in m):
-        return m
+        return [{k: v for k, v in row.items() if v} for row in m]
     import numpy as np
 
     a = np.asarray(m)
@@ -68,14 +71,16 @@ def bigint_rank(rows) -> int:
 def _eliminate(groups, p: int | None) -> list[int]:
     """Pivot counts of sparse row groups over the rationals (p None) or over Z/p.
 
-    Entry k is the rank of the rows of groups 0..k together.
+    Entry k is the rank of the rows of groups 0..k together.  The rows are
+    taken over: each must be a dict of its own without zero entries, and the
+    elimination reduces it in place and may keep it as a pivot.
     """
     pivots = {}
     counts = []
     for rows in groups:
-        for src in rows:
-            # a fresh copy without zeros: the caller's rows are never mutated
-            row = {k: w for k, v in src.items() if (w := v % p if p else v)}
+        for row in rows:
+            if p:
+                row = {k: w for k, v in row.items() if (w := v % p)}
             while row:
                 lead = min(row)
                 f = row[lead]

@@ -9,26 +9,27 @@ a B2 sub-arrangement the census formula does not apply: census,
 phi3_formula and agreement come back None.
 """
 
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from . import algebra
-from .census import Census, census, phi3_formula
+from .census import census, phi3_formula
 from .graphs import SignedGraph
 
 
-@dataclass(frozen=True)
-class FalkReport:
-    ell: int
-    n: int
-    contains_b2: bool
-    triangle_count: int
-    dim_A2: int
-    dim_I3_2: int
-    dim_span_F3: int
-    phi3_oracle: int
-    phi3_formula: int | None
-    census: Census | None
-    agreement: bool | None
+class FalkReport(
+    namedtuple(
+        "FalkReport",
+        "ell n contains_b2 triangle_count dim_A2 dim_I3_2 dim_span_F3"
+        " phi3_oracle phi3_formula census agreement",
+    )
+):
+    """One graph's invariants; the last three fields are None on a graph with B2.
+
+    contains_b2 and agreement are bools, census is a `Census`, and every
+    other field is an int.
+    """
+
+    __slots__ = ()
 
 
 def build_report(g: SignedGraph) -> FalkReport:
@@ -53,7 +54,11 @@ def build_report(g: SignedGraph) -> FalkReport:
 
 
 def to_json_dict(r: FalkReport) -> dict:
-    return asdict(r)
+    """The report as nested dicts in field order: the census too, or None on a graph with B2."""
+    out = r._asdict()
+    if r.census is not None:
+        out["census"] = r.census.as_dict()
+    return out
 
 
 def render_text(r: FalkReport) -> str:

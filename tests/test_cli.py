@@ -489,3 +489,26 @@ print("no fractions")
 
 def test_compute_and_verify_never_import_fractions():
     _run_fresh(_NO_FRACTIONS, "no fractions\n")
+
+
+# dataclasses loads inspect (and with it ast, dis and tokenize), and typing
+# costs more again; the records are namedtuples, so a start of falk3 loads
+# none of them.  Only what falk3 adds counts: a site hook may preload them.
+_NO_DATACLASSES = """
+import contextlib, io, sys
+before = set(sys.modules)
+import falk3.cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = falk3.cli.main(["compute", "--json", "samples/hub4_mixed.graph"])
+if code != 0:
+    raise SystemExit(f"compute --json exited {code}")
+added = sorted({"dataclasses", "inspect", "typing"} & set(sys.modules) - before)
+if added:
+    raise SystemExit(f"import falk3.cli and compute --json imported {added}")
+print("no dataclasses")
+"""
+
+
+def test_compute_imports_no_dataclasses_inspect_or_typing():
+    _run_fresh(_NO_DATACLASSES, "no dataclasses\n")

@@ -106,8 +106,9 @@ def test_elimination_takes_one_shot_generators():
         rows = ideal3_rows(g)
         half = len(rows) // 2
         for p in (None, rank.SCREEN_PRIME, 3):
-            listed = rank._eliminate([rows[:half], rows[half:]], p)
-            streamed = rank._eliminate([(dict(r) for r in rows[:half]), iter(rows[half:])], p)
+            # _eliminate takes its rows over, so each call gets fresh copies
+            listed = rank._eliminate([[dict(r) for r in rows[:half]], [dict(r) for r in rows[half:]]], p)
+            streamed = rank._eliminate([(dict(r) for r in rows[:half]), iter([dict(r) for r in rows[half:]])], p)
             assert streamed == listed
 
 

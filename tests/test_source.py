@@ -55,6 +55,37 @@ def test_numpy_is_imported_only_inside_functions():
         raise AssertionError(f"numpy imported at module import time: {', '.join(found)}")
 
 
+# the stdlib modules the package may import when it is imported: each runs on
+# every start of falk3, and all but these are already loaded by argparse or the
+# interpreter.  dataclasses (which loads inspect), typing, fractions and numpy
+# are not among them: the records are namedtuples, and fractions and numpy are
+# imported inside the functions that need them.  __future__ is a compiler
+# directive.
+_IMPORT_TIME_STDLIB = {"argparse", "json", "collections", "functools", "itertools", "math", "bisect", "sys"}
+
+
+def _imported_modules(node):
+    """Top-level names of the modules an import statement loads; '' for the package's own."""
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [""] if node.level else [(node.module or "").split(".")[0]]
+    return []
+
+
+def test_module_level_imports_are_on_the_allow_list():
+    allowed = _IMPORT_TIME_STDLIB | {"", "falk3", "__future__"}
+    found = [
+        f"{path.name}:{node.lineno} {name}"
+        for path, tree in _modules()
+        for node in _import_time_nodes(tree)
+        for name in _imported_modules(node)
+        if name not in allowed
+    ]
+    if found:
+        raise AssertionError(f"modules imported at module import time: {', '.join(found)}")
+
+
 def _private_algebra_reads(node):
     """Private `algebra._*` names that a node reads, as attribute or as import."""
     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
