@@ -4,55 +4,56 @@ Monomials e_S are keyed by ascending tuples of hyperplane labels (the
 rank side uses int keys, see below); sparse vectors are plain dicts
 mapping key -> integer coefficient.  A "triangle"
 is a dependent label triple, i.e. three hyperplanes of rank 2.
-`_rank_triples` is the one triangle enumerator, and `triangles()` and
-`rank_side` both read it: it finds the dependent triples from the graph's
-edge list alone.  Every normal is e_s (a loop) or e_i -+ e_j, so a dependent
-triple lies on 2 vertices (a coordinate plane) or is one normal on each
-pair of 3 vertices, where one lookup of a direction sign decides it (see
-there).  A triple's kind (k3, d21, k22) is its number of loops (see
+`_rank_flats` is the one triangle enumerator, and `triangles()` and
+`rank_side` both read it: from the graph's edge list alone it finds the
+rank-2 flats with 3 or more members, and a triangle is a 3-subset of one.
+Every normal is e_s (a loop) or e_i -+ e_j, so a flat lies on 2 vertices
+(a coordinate plane, 3 or 4 members) or is one normal on each pair of 3
+vertices, where one lookup of a direction sign decides it (see there).
+Two flats share at most one label, so a label pair lies in at most one
+flat.  A triangle's kind (k3, d21, k22) is its number of loops (see
 `triangles`).  The triangles are checked outside this module:
 `build_report` compares their count with the census's k3 + d21 + k22 on
 every B2-free graph.
 
-`rank_side` is the one rank-side pass per graph: triangles once, as plain
-label triples, then one exact elimination over three groups of rows.  The
-boundary rows of the triangles that need it come first (dim A^2), then the
-rows e_t ^ boundary(e_T) with t outside T (span F3), then the unit rows
-+-e_T that t inside T gives (I3_2); span rows are built from four sign
-patterns and streamed in, never all alive at once.  The monomials are keyed
-by ints with N = n + 1: e_xy (x < y) by x * N + y and e_xyz (x < y < z) by
-(x * N + y) * N + z.  Every label is below N, so a key is the labels
-written in base N, and keys of one degree sort as the tuples do.  Every
-degree-2 key is below N^2 and every degree-3 key is at least N^2, so no
-degree-3 row ever meets a degree-2 pivot, and each group's pivot count
-less the one before it is that group's rank over the earlier ones.  The
-elimination takes the least key of a row as its lead, so it picks the same
-pivots as on tuple keys; an int hashes and compares faster than a tuple.
-`ideal3_rows`, `span_f3_rows`, `wedge` and `boundary` keep the tuple-keyed
-generating set as the reference definition the tests rank against.
+`rank_side` is the one rank-side pass per graph: the flats once, then one
+exact elimination over two groups of rows.  dim A^2 needs no rows:
+Brieskorn's lemma gives it as the sum over the rank-2 flats X of
+m_X - 1, with m_X the flat's member count, and a label pair in no flat
+of 3 or more is a flat of 2; so dim A^2 = C(n,2) - the sum of
+C(m_X - 1, 2) over the flats of `_rank_flats`, which is C(n,2) -
+#triangles + #4-flats.  The rows e_t ^ boundary(e_T) with t outside T
+(span F3) come first, then the unit rows +-e_T that t inside T gives
+(I3_2); span rows are built from four sign patterns and streamed in,
+never all alive at once.  The monomials e_xyz (x < y < z) are keyed by
+the int (x * N + y) * N + z with N = n + 1.  Every label is below N, so a
+key is the labels written in base N, and the keys sort as the tuples do.
+Each group's pivot count less the one before it is that group's rank
+over the earlier ones.  The elimination takes the least key of a row as
+its lead, so it picks the same pivots as on tuple keys; an int hashes
+and compares faster than a tuple.  `ideal3_rows`, `span_f3_rows`, `wedge`
+and `boundary` keep the tuple-keyed generating set as the reference
+definition the tests rank against.
 
 Rows with a private column are counted, not eliminated.  If a column of a
 row set is nonzero in one row only, any vanishing combination gives that
 row the coefficient 0; so if each row of R1 has such a column, rank(all) =
-|R1| + rank(the rest).  Which rows have one is read off the triangle list
-in one pass (`_shared_rows`): how many triangles hold each label pair, and
-which labels share a triangle with each label.
-- Boundary rows (dim A^2): the row of T has the columns xy for the pairs of
-  T, and xy is private when no other triangle holds it.  So only the
-  triangles whose three pairs all lie in other triangles (the 4-flats) are
-  eliminated.
+|R1| + rank(the rest).  Which rows have one is read off the flats in one
+pass (`_shared_rows`).  In a 3-flat no other triangle holds a pair of T;
+in a 4-flat every pair of T lies in a second triangle of the flat.
 - Span rows: the row for T = {a < b < c} and t outside T has the columns
   {t, x, y} for the pairs xy of T.  No other row, span or unit, has the
   column {t, x, y} unless another triangle holds xy, or some triangle holds
-  tx or ty (a unit row e_txy is the second case).  So dim span F3 =
-  #private + rank(the other span rows).
+  tx or ty (a unit row e_txy is the second case).  So the span rows of a
+  4-flat triangle are all kept, and those of a 3-flat triangle only for
+  the t that share a flat with two of its labels: dim span F3 = #private +
+  rank(the other span rows).
 - Unit rows: the column T of e_T lies in a span row e_t ^ boundary(e_T')
   only when T' is another triangle holding a pair of T, and t is the third
-  label of T.  So when no other triangle holds a pair of T, e_T adds 1 to
-  dim I3_2, and only the other unit rows enter the pass.
-On a B2-free graph no pair lies in two triangles (four hyperplanes would
-share a rank-2 flat), so every boundary row and every unit row is private:
-the pass ranks only span rows, and dim I3_2 = dim span F3 + #triangles.
+  label of T.  So a 3-flat's e_T adds 1 to dim I3_2, and only the unit
+  rows of the 4-flat triangles enter the pass.
+A 4-flat is a B2 ({+ij, -ij, loop i, loop j}), so on a B2-free graph the
+pass ranks only span rows, and dim I3_2 = dim span F3 + #triangles.
 """
 
 from __future__ import annotations
@@ -106,8 +107,8 @@ def wedge(label: int, vec: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _rank_triples(edges) -> set[tuple[int, int, int]]:
-    """Rank route: the label triples (1-based) whose normals span at most a plane.
+def _rank_flats(edges) -> list[tuple[int, ...]]:
+    """Rank route: the rank-2 flats with 3 or more members, as ascending label tuples (1-based).
 
     Precondition: `edges` is the edge tuple of a SignedGraph, whose
     constructor puts every edge on i < j, every loop on i == j, and no
@@ -123,8 +124,8 @@ def _rank_triples(edges) -> set[tuple[int, int, int]]:
     two of them, and it has at most 3 vertices: two normals with disjoint
     supports on 3 or 4 vertices would make the third nonzero on all of them.
     - On 2 vertices p < q every normal supported there lies in the
-      coordinate plane pq: the normals on pq and the loops at p and q.  Every
-      3-subset of them is dependent.
+      coordinate plane pq: the normals on pq and the loops at p and q, up
+      to 4 of them.  Every 3-subset of them is dependent.
     - On 3 vertices s < p < q no loop fits: a loop and any second normal
       span either a coordinate plane, which holds no normal reaching the
       third vertex, or a plane whose other members have 3 entries.  Two
@@ -134,7 +135,10 @@ def _rank_triples(edges) -> set[tuple[int, int, int]]:
       u - v = r e_p - t e_q, which is r (e_p - r t e_q) as r r = 1, so the
       triple is dependent exactly when the normal on pq has the sign -r t:
       one lookup of (p, q, -r t) per pair of normals leaving s upwards to
-      different vertices.
+      different vertices.  No fourth normal fits: it would lie on one of
+      the three pairs, parallel to the normal there.
+    Each coordinate plane is walked once from its lower vertex, and each
+    3-vertex flat once from its least vertex s, so no flat is found twice.
     The cost follows those pairs.
     """
     loops: dict[int, int] = {}  # vertex -> label of its loop
@@ -147,7 +151,7 @@ def _rank_triples(edges) -> set[tuple[int, int, int]]:
             r = -1 if e.kind == POS else 1
             up.setdefault(e.i, []).append((e.j, k, r))
             lines[e.i, e.j, r] = k
-    found = set()
+    flats = []
     for s, ups in up.items():
         # the coordinate plane of each pair s < p: its normals and the loops at s and p
         on_pair: dict[int, list[int]] = {}
@@ -156,7 +160,7 @@ def _rank_triples(edges) -> set[tuple[int, int, int]]:
         for p, ks in on_pair.items():
             group = ks + [loops[v] for v in (s, p) if v in loops]
             if len(group) >= 3:
-                found.update(itertools.combinations(sorted(group), 3))
+                flats.append(tuple(sorted(group)))
         ups.sort()
         for i, (p, ku, r) in enumerate(ups):
             for q, kv, t in ups[i + 1 :]:
@@ -164,8 +168,8 @@ def _rank_triples(edges) -> set[tuple[int, int, int]]:
                     continue
                 w = lines.get((p, q, -r * t))
                 if w is not None:
-                    found.add(tuple(sorted((ku, kv, w))))
-    return found
+                    flats.append(tuple(sorted((ku, kv, w))))
+    return flats
 
 
 # the kind of a dependent triple by how many of its hyperplanes are loops
@@ -175,17 +179,15 @@ _KINDS = ("k3", "d21", "k22")
 def triangles(g: SignedGraph) -> list[Triangle]:
     """All dependent label triples, ascending, with kinds.
 
-    The rank route finds the triples from the edge list alone.  Three
-    loops are independent, so a triple holds at most two, and the kind is
-    their count: none is a k3 (a triple on 3 vertices holds no loop, see
-    `_rank_triples`), one a d21 and two a k22 (on 2 vertices p < q, the
-    normals on pq with the loops at p and q).
+    The rank route finds the flats from the edge list alone, and the
+    triples are their 3-subsets.  Three loops are independent, so a triple
+    holds at most two, and the kind is their count: none is a k3 (a triple
+    on 3 vertices holds no loop, see `_rank_flats`), one a d21 and two a
+    k22 (on 2 vertices p < q, the normals on pq with the loops at p and q).
     """
     edges = g.edges
-    return [
-        Triangle(t, _KINDS[sum(edges[k - 1].kind == LOOP for k in t)])
-        for t in sorted(_rank_triples(edges))
-    ]
+    tris = sorted(t for flat in _rank_flats(edges) for t in itertools.combinations(flat, 3))
+    return [Triangle(t, _KINDS[sum(edges[k - 1].kind == LOOP for k in t)]) for t in tris]
 
 
 # -- row builders ----------------------------------------------------------
@@ -242,49 +244,44 @@ def _span_f3_row_stream(jobs, base: int):
                 yield {bc * base + t: 1, ac * base + t: -1, ab * base + t: 1}
 
 
-def _shared_rows(n: int, tris) -> tuple[list, list, int, list]:
-    """The rows with no private column: the triangles whose boundary row is
-    kept, span-F3 row-stream jobs (a triangle and the bitmask of its kept t),
-    the count of span rows left out, and the triangles whose unit row is kept.
+def _shared_rows(n: int, flats) -> tuple[list, int, list]:
+    """The rows with no private column: span-F3 row-stream jobs (a triangle
+    and the bitmask of its kept t), the count of span rows left out, and the
+    triangles whose unit row is kept.
 
-    The column xy of the boundary row of T is shared when another triangle
-    holds the pair xy.  The column {t, x, y} of row e_t ^ boundary(e_T) is
-    shared when another triangle holds the pair xy, or t shares a triangle
-    with x or y; the unit row e_T is shared when another triangle holds a
-    pair of T (see the module docstring).  Only the t whose three columns
-    are all shared are kept.  Label sets are bitmasks: bit t stands for
+    The column {t, x, y} of row e_t ^ boundary(e_T) is shared when another
+    triangle holds the pair xy, or t shares a flat with x or y; the unit
+    row e_T is shared when another triangle holds a pair of T (see the
+    module docstring).  A pair lies in one flat, so in a 4-flat every pair
+    of T is in a second triangle and every row is kept, and in a 3-flat
+    none is: its t is kept when it shares a flat with two labels of T, and
+    its unit row is private.  Label sets are bitmasks: bit t stands for
     label t.
     """
-    partners: dict[int, int] = {}  # label -> the labels of its triangles
-    pair_count: dict[tuple[int, int], int] = {}  # label pair -> the triangles holding it
-    for tri in tris:
-        a, b, c = tri
-        mask = 1 << a | 1 << b | 1 << c
-        for x in tri:
+    partners: dict[int, int] = {}  # label -> the labels of its flats
+    for flat in flats:
+        mask = sum(1 << x for x in flat)
+        for x in flat:
             partners[x] = partners.get(x, 0) | mask
-        for pair in ((a, b), (a, c), (b, c)):
-            pair_count[pair] = pair_count.get(pair, 0) + 1
     every = (1 << n + 1) - 2  # labels 1..n
-    flats = []
     jobs = []
     units = []
     private = 0
-    for tri in tris:
-        a, b, c = tri
-        near = every & ~(1 << a | 1 << b | 1 << c)
-        alone = 0
-        for x, y in ((b, c), (a, c), (a, b)):
-            if pair_count[x, y] == 1:
-                near &= partners[x] | partners[y]
-                alone += 1
-        if not alone:
-            flats.append(tri)
-        if alone < 3:
-            units.append(tri)
-        private += n - 3 - near.bit_count()
-        if near:
-            jobs.append((tri, near))
-    return flats, jobs, private, units
+    for flat in flats:
+        if len(flat) == 4:
+            tris = list(itertools.combinations(flat, 3))
+            units += tris
+            keep = every
+        else:
+            tris = [flat]
+            pa, pb, pc = (partners[x] for x in flat)
+            keep = pa & pb | pa & pc | pb & pc
+        for a, b, c in tris:
+            near = keep & ~(1 << a | 1 << b | 1 << c)
+            private += n - 3 - near.bit_count()
+            if near:
+                jobs.append(((a, b, c), near))
+    return jobs, private, units
 
 
 def rows_to_matrix(rows) -> np.ndarray:
@@ -309,28 +306,26 @@ def rows_to_matrix(rows) -> np.ndarray:
 def rank_side(g: SignedGraph) -> tuple[int, int, int, int]:
     """(#triangles, dim A^2, dim span F3, dim I3_2) of one graph.
 
-    One elimination over the rows with no private column, in three groups:
-    the boundary rows of the 4-flat triangles (c0 pivots), the span rows
-    (c1) and the unit rows (c2).  Every other row is counted, not eliminated.
-    On a B2-free graph no label pair lies in two triangles, so only span
-    rows enter: dim A^2 = C(n,2) - #triangles and dim I3_2 = dim span F3 +
-    #triangles.  On a graph with B2 some e_T may already lie in span F3, and
-    the pass ranks those unit rows.  Reads only the graph's n and edges.
+    dim A^2 is Brieskorn's count over the flats (see the module docstring).
+    One elimination over the rows with no private column, in two groups:
+    the span rows (c1 pivots) and the unit rows (c2).  Every other row is
+    counted, not eliminated.  On a B2-free graph every flat has 3 members,
+    so only span rows enter: dim A^2 = C(n,2) - #triangles and dim I3_2 =
+    dim span F3 + #triangles.  On a graph with B2 some e_T may already lie
+    in span F3, and the pass ranks those unit rows.  Reads only the graph's
+    n and edges.
     """
-    tris = sorted(_rank_triples(g.edges))
-    flats, jobs, private, units = _shared_rows(g.n, tris)
+    flats = _rank_flats(g.edges)
+    jobs, private, units = _shared_rows(g.n, flats)
     base = g.n + 1
     # streamed: each row is built when the elimination reads it, never all at once
-    c0, c1, c2 = rank._eliminate(
-        [
-            ({b * base + c: 1, a * base + c: -1, a * base + b: 1} for a, b, c in flats),
-            _span_f3_row_stream(jobs, base),
-            ({(a * base + b) * base + c: 1} for a, b, c in units),
-        ],
+    c1, c2 = rank._eliminate(
+        [_span_f3_row_stream(jobs, base), ({(a * base + b) * base + c: 1} for a, b, c in units)],
         None,
     )
-    a2 = comb(g.n, 2) - (len(tris) - len(flats)) - c0
-    return len(tris), a2, private + c1 - c0, private + c2 - c0 + len(tris) - len(units)
+    count = sum(comb(len(flat), 3) for flat in flats)
+    a2 = comb(g.n, 2) - sum(comb(len(flat) - 1, 2) for flat in flats)
+    return count, a2, private + c1, private + c2 + count - len(units)
 
 
 def dim_a2(g: SignedGraph) -> int:
@@ -345,7 +340,7 @@ def dim_a2(g: SignedGraph) -> int:
 
 
 def dim_a2_rank(g: SignedGraph) -> int:
-    """Degree-2 algebra dimension from the exact boundary-row rank; any graph."""
+    """Degree-2 algebra dimension by Brieskorn's count over the rank-2 flats; any graph."""
     return rank_side(g)[1]
 
 

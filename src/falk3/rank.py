@@ -1,12 +1,12 @@
 """Exact matrix rank by sparse elimination.
 
-The pipeline ranks three kinds of rows: the degree-2 boundary rows
-boundary(e_T) and the degree-3 rows e_t ^ boundary(e_T), each with three
-entries of +-1 among thousands of columns, and the unit rows e_T.  So rows
-stay sparse, as dicts from column key to value, and one loop ranks them:
-each row has its leading entry (least column key) cancelled against the
-pivot row kept for that column until it is zero or takes a column with no
-pivot yet, where it is stored, scaled to leading coefficient 1.  Over the
+The pipeline ranks two kinds of degree-3 rows: the rows
+e_t ^ boundary(e_T), each with three entries of +-1 among thousands of
+columns, and the unit rows e_T.  So rows stay sparse, as dicts from column
+key to value, and one loop ranks them: each row has its leading entry
+(least column key) cancelled against the pivot row kept for that column
+until it is zero or takes a column with no pivot yet, where it is stored,
+scaled to leading coefficient 1.  Over the
 rationals the scaling is exact in `Fraction`; over Z/p it is a modular
 inverse.  The rank is the number of pivots.
 

@@ -135,14 +135,14 @@ def test_rank_route_keeps_the_pair_of_two_loops():
     # edge 12 opens the coordinate-plane group of 12, which takes in the loops at
     # both of its vertices
     g = SignedGraph(2, [loop(1), loop(2), pos(1, 2)])
-    assert algebra._rank_triples(g.edges) == {(1, 2, 3)}
-    assert algebra._rank_triples(g.edges[:2]) == set()
+    assert algebra._rank_flats(g.edges) == [(1, 2, 3)]
+    assert algebra._rank_flats(g.edges[:2]) == []
 
 
 def test_rank_route_skips_disjoint_pairs_on_three_vertices():
     # a loop and an edge off its vertex span a plane that holds no third normal
     g = SignedGraph(3, [loop(1), pos(2, 3), neg(2, 3), loop(2)])
-    assert algebra._rank_triples(g.edges) == {(2, 3, 4)}
+    assert algebra._rank_flats(g.edges) == [(2, 3, 4)]
 
 
 @st.composite
@@ -156,8 +156,18 @@ def shuffled_graphs(draw):
 @given(shuffled_graphs())
 @settings(max_examples=400, deadline=None)
 def test_rank_route_matches_brute_force_ranks(g):
-    expected = {t for t in itertools.combinations(range(1, g.n + 1), 3) if _dependent(g, t)}
-    assert algebra._rank_triples(g.edges) == expected
+    # the flats' 3-subsets are the dependent triples, found once each; two
+    # rank-2 flats meet in at most one hyperplane; and the 4-flats are the
+    # graph's own B2 witnesses, which ties Brieskorn's +#4-flats term to the
+    # B2 table without the rank side reading it
+    flats = algebra._rank_flats(g.edges)
+    assert all(list(flat) == sorted(set(flat)) and len(flat) in (3, 4) for flat in flats)
+    triples = [t for flat in flats for t in itertools.combinations(flat, 3)]
+    expected = [t for t in itertools.combinations(range(1, g.n + 1), 3) if _dependent(g, t)]
+    assert sorted(triples) == expected
+    pairs = [pair for flat in flats for pair in itertools.combinations(flat, 2)]
+    assert len(pairs) == len(set(pairs))
+    assert sorted(flat for flat in flats if len(flat) == 4) == g.b2_witnesses()
 
 
 def _reference_span_rows(g, tris):
@@ -250,9 +260,9 @@ def test_dim_a2_of_edgeless_graph():
 
 
 def _assert_dim_a2_is_the_full_boundary_rank(g):
-    # every boundary row ranked, none counted as private: independent of the
-    # private-column rule that dim_a2_rank uses, which leaves no row to rank
-    # on a B2-free graph
+    # every boundary row ranked: the independent reference for the count by
+    # Brieskorn's lemma over the flats that dim_a2_rank uses, which ranks no
+    # row at all
     rows = [boundary(t.labels) for t in triangles(g)]
     expected = comb(g.n, 2) - exact_rank(rows)
     assert dim_a2_rank(g) == expected
@@ -329,6 +339,62 @@ def test_oracle_is_switching_invariant(gs):
     assert phi3_oracle(g) == phi3_oracle(h)
 
 
+def _local_bound(g):
+    # the holonomy Lie algebra maps onto the sum of the local ones, so phi3
+    # is at least the sum over the rank-2 flats X of phi3 of the free group
+    # on m_X - 1 letters, ((m - 1)^3 - (m - 1)) / 3: 2 for a 3-flat, 8 for a 4-flat
+    return sum(2 if len(flat) == 3 else 8 for flat in algebra._rank_flats(g.edges))
+
+
+@given(signed_graphs(max_ell=5, allow_b2=True))
+@settings(max_examples=60, deadline=None)
+def test_oracle_is_at_least_the_local_bound_on_random_graphs(g):
+    assert phi3_oracle(g) >= _local_bound(g)
+
+
+@pytest.mark.parametrize(
+    "g, bound",
+    [
+        *[(complete_doubled(ell, loops=range(1, ell + 1)), b) for ell, b in zip(range(2, 6), (8, 32, 80, 160))],
+        *[(complete_positive(ell), b) for ell, b in zip(range(2, 7), (0, 2, 8, 20, 40))],
+    ],
+    ids=[f"B{ell}" for ell in range(2, 6)] + [f"A{ell}" for ell in range(2, 7)],
+)
+def test_local_bound_on_the_fiber_type_families(g, bound):
+    assert _local_bound(g) == bound
+    assert phi3_oracle(g) >= bound
+
+
+def test_local_bound_is_tight_exactly_without_the_non_local_classes():
+    # on a B2-free graph the paper's formula less 2 #triangles is
+    # 2 (k4 + d3 + k33 + g_circ) + 5 d31, so the bound is met exactly when
+    # those five counts vanish
+    for g in enumerate_all(3):
+        c = census(g)
+        local = c.k4 == c.d3 == c.k33 == c.g_circ == c.d31 == 0
+        assert (phi3_oracle(g) == _local_bound(g)) == local, g.edges
+
+
+@st.composite
+def disjoint_unions(draw):
+    """Two graphs on up to 4 vertices each, B2 allowed, the second one's
+    vertices shifted past the first's, with all edges shuffled together."""
+    g = draw(signed_graphs(max_ell=4, allow_b2=True))
+    h = draw(signed_graphs(max_ell=4, allow_b2=True))
+    shifted = [e._replace(i=e.i + g.ell, j=e.j + g.ell) for e in h.edges]
+    union = SignedGraph(g.ell + h.ell, draw(st.permutations(g.edges + tuple(shifted))))
+    return g, h, union
+
+
+@given(disjoint_unions())
+@settings(max_examples=60, deadline=None)
+def test_oracle_adds_over_disjoint_unions(parts):
+    # graphs on disjoint vertex sets give a product arrangement, whose group
+    # is the product of the two, so phi3 adds
+    g, h, union = parts
+    assert phi3_oracle(union) == phi3_oracle(g) + phi3_oracle(h)
+
+
 def _assert_one_pass_matches_two_eliminations(g):
     # every row ranked, none skipped: rank_side leaves out the span rows with a private column
     span_rows = span_f3_rows(g)
@@ -367,21 +433,21 @@ def test_rank_side_eliminates_only_rows_without_a_private_column(monkeypatch, hu
     monkeypatch.setattr(rank, "_eliminate", counting_eliminate)
     count, _a2, span, ideal = algebra.rank_side(hub4)
     assert (count, span, ideal) == (12, 83, 95)
-    # B2-free: every boundary row and every unit row has a private column,
+    # B2-free: every unit row has a private column and dim A^2 is counted,
     # so the one elimination ranks only the shared span rows
     assert len(calls) == 1
-    flat_rows, span_rows, unit_rows = calls[0]
-    assert (flat_rows, unit_rows) == (0, 0)
+    span_rows, unit_rows = calls[0]
+    assert unit_rows == 0
     assert 0 < span_rows < count * (hub4.n - 3) == 96
 
     calls.clear()
     g = complete_doubled(4, loops=(1, 2))
     assert algebra.rank_side(g) == (24, comb(14, 2) - 24 + 1, 212, 232)
-    # still one elimination: the boundary rows and the unit rows of the 4
-    # triangles in the B2 flat, with the shared span rows between them
+    # still one elimination: the shared span rows, then the unit rows of
+    # the 4 triangles in the B2 flat
     assert len(calls) == 1
-    flat_rows, span_rows, unit_rows = calls[0]
-    assert (flat_rows, unit_rows) == (4, 4)
+    span_rows, unit_rows = calls[0]
+    assert unit_rows == 4
     assert 0 < span_rows < 24 * (g.n - 3)
 
 

@@ -253,10 +253,10 @@ def _plus_one(real):
     return lambda *args: real(*args) + 1
 
 
-def _without_least_triple(real):
+def _without_least_flat(real):
     def dropping(edges):
         found = real(edges)
-        return found - {min(found)} if found else found
+        return [flat for flat in found if flat != min(found)]
 
     return dropping
 
@@ -274,7 +274,7 @@ _FIRST_BAD = "0/15 graphs agree\nfirst counterexample:\nbroken identity: {}\nver
             id="off_by_one1-dim I3_2 closed form",
         ),
         pytest.param(
-            [(algebra, "_rank_triples", _without_least_triple)],
+            [(algebra, "_rank_flats", _without_least_flat)],
             "11/15 graphs agree\nfirst counterexample:\nbroken identity: triangle count\n"
             "vertices 2\n+ 1 2\no 1\no 2\n",
             id="triangle count",
@@ -289,8 +289,8 @@ _FIRST_BAD = "0/15 graphs agree\nfirst counterexample:\nbroken identity: {}\nver
 def test_verify_names_the_broken_identity(monkeypatch, capsys, patches, out):
     # the report's census formula off by one makes every graph disagree; the
     # dim I3_2 closed form is named when it disagrees with the rank side too.
-    # A rank route that drops a triangle breaks the four 2-vertex graphs with
-    # one, and the triangle count is named ahead of the rest; a census
+    # A rank route that drops a flat breaks the four 2-vertex graphs with a
+    # triangle, and the triangle count is named ahead of the rest; a census
     # triangle total off by one breaks every graph, though phi3 still agrees
     for module, name, wrap in patches:
         monkeypatch.setattr(module, name, wrap(getattr(module, name)))
@@ -318,7 +318,7 @@ def test_verify_goes_through_build_report_only(monkeypatch, capsys):
 
 @pytest.mark.parametrize("one_pass", ["build_report", "phi3_oracle"])
 def test_build_report_runs_one_elimination(monkeypatch, one_pass):
-    # B2-free: every boundary row and every unit row has a private column, so
+    # B2-free: every unit row has a private column and dim A^2 is counted, so
     # the one elimination ranks only the shared span rows
     calls = []
     eliminate = rank._eliminate
@@ -335,9 +335,9 @@ def test_build_report_runs_one_elimination(monkeypatch, one_pass):
     else:
         assert phi3_oracle(hub4_mixed()) == 37
     assert len(calls) == 1
-    p, (flat_rows, span_rows, unit_rows) = calls[0]
+    p, (span_rows, unit_rows) = calls[0]
     assert p is None
-    assert (flat_rows, unit_rows) == (0, 0)
+    assert unit_rows == 0
     assert span_rows > 0
 
 
@@ -441,12 +441,12 @@ if code != 0 or "numpy" not in sys.modules:
 """
 
 
-def _run_fresh(source: str, stdout: str) -> None:
-    """Run `source` in a fresh interpreter on the checkout; it must exit 0 and print `stdout`."""
+def _run_fresh(args: list[str], stdout: str) -> None:
+    """Run a fresh interpreter with `args` on the checkout; it must exit 0 and print `stdout`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", source],
+        [sys.executable, *args],
         cwd=ROOT,
         env=env,
         capture_output=True,
@@ -460,7 +460,7 @@ def _run_fresh(source: str, stdout: str) -> None:
 
 
 def test_single_graph_commands_never_import_numpy():
-    _run_fresh(_COLD_START, "3/3 graphs agree\n")
+    _run_fresh(["-c", _COLD_START], "3/3 graphs agree\n")
 
 
 # fractions is imported only by an elimination that needs a non-integer pivot;
@@ -488,7 +488,7 @@ print("no fractions")
 
 
 def test_compute_and_verify_never_import_fractions():
-    _run_fresh(_NO_FRACTIONS, "no fractions\n")
+    _run_fresh(["-c", _NO_FRACTIONS], "no fractions\n")
 
 
 # dataclasses loads inspect (and with it ast, dis and tokenize), and typing
@@ -511,4 +511,10 @@ print("no dataclasses")
 
 
 def test_compute_imports_no_dataclasses_inspect_or_typing():
-    _run_fresh(_NO_DATACLASSES, "no dataclasses\n")
+    _run_fresh(["-c", _NO_DATACLASSES], "no dataclasses\n")
+
+
+def test_exhaustive_verify_agrees_with_asserts_stripped():
+    # python -O strips every assert, so a check that relied on one would
+    # pass silently there; the sweep must still agree and exit 0
+    _run_fresh(["-O", "-m", "falk3", "verify", "--vertices", "3", "--exhaustive"], "427/427 graphs agree\n")
