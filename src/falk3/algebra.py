@@ -137,35 +137,52 @@ def _rank_flats(edges) -> list[tuple[int, ...]]:
       one lookup of (p, q, -r t) per pair of normals leaving s upwards to
       different vertices.  No fourth normal fits: it would lie on one of
       the three pairs, parallel to the normal there.
-    Each coordinate plane is walked once from its lower vertex, and each
-    3-vertex flat once from its least vertex s, so no flat is found twice.
-    The cost follows those pairs.
+    Each edge is unpacked once, into the list of normals leaving its lower
+    vertex upwards.  Each such list is sorted once by upper vertex, so the
+    one or two normals on a pair s < p are adjacent: the coordinate plane sp
+    is read off that run, plus the loops at s and p, at the run's first
+    entry, and the walk to the normals on s < q starts past the run.  Each
+    coordinate plane is found once from its lower vertex, and each 3-vertex
+    flat once from its least vertex s, so no flat is found twice.  The cost
+    follows those pairs.
     """
     loops: dict[int, int] = {}  # vertex -> label of its loop
     lines: dict[tuple[int, int, int], int] = {}  # (i, j, r) -> label
     up: dict[int, list[tuple[int, int, int]]] = {}  # i -> (j, label, r), j > i
-    for k, e in enumerate(edges, start=1):
-        if e.kind == LOOP:
-            loops[e.i] = k
+    for k, (kind, i, j) in enumerate(edges, start=1):
+        if kind == LOOP:
+            loops[i] = k
         else:
-            r = -1 if e.kind == POS else 1
-            up.setdefault(e.i, []).append((e.j, k, r))
-            lines[e.i, e.j, r] = k
+            r = -1 if kind == POS else 1
+            ups = up.get(i)
+            if ups is None:
+                up[i] = [(j, k, r)]
+            else:
+                ups.append((j, k, r))
+            lines[i, j, r] = k
     flats = []
     for s, ups in up.items():
-        # the coordinate plane of each pair s < p: its normals and the loops at s and p
-        on_pair: dict[int, list[int]] = {}
-        for p, k, _r in ups:
-            on_pair.setdefault(p, []).append(k)
-        for p, ks in on_pair.items():
-            group = ks + [loops[v] for v in (s, p) if v in loops]
-            if len(group) >= 3:
-                flats.append(tuple(sorted(group)))
         ups.sort()
-        for i, (p, ku, r) in enumerate(ups):
-            for q, kv, t in ups[i + 1 :]:
-                if q == p:
-                    continue
+        size = len(ups)
+        ls = loops.get(s)
+        for x, (p, ku, r) in enumerate(ups):
+            y = x + 1
+            if not x or ups[x - 1][0] != p:
+                # the run's first entry: the coordinate plane sp is the run of 1 or
+                # 2 normals on sp, adjacent after the sort, and the loops at s and p
+                plane = [ku]
+                if y < size and ups[y][0] == p:
+                    plane.append(ups[y][1])
+                    y += 1
+                lp = loops.get(p)
+                if ls:
+                    plane.append(ls)
+                if lp:
+                    plane.append(lp)
+                if len(plane) >= 3:
+                    plane.sort()
+                    flats.append(tuple(plane))
+            for q, kv, t in ups[y:]:
                 w = lines.get((p, q, -r * t))
                 if w is not None:
                     flats.append(tuple(sorted((ku, kv, w))))
@@ -256,31 +273,35 @@ def _shared_rows(n: int, flats) -> tuple[list, int, list]:
     of T is in a second triangle and every row is kept, and in a 3-flat
     none is: its t is kept when it shares a flat with two labels of T, and
     its unit row is private.  Label sets are bitmasks: bit t stands for
-    label t.
+    label t.  One pass ORs each flat's mask into the partner mask of each
+    of its labels; a second reads a 3-flat's three partner masks, or gives
+    a 4-flat's four triangles every t outside them and their unit rows.
     """
-    partners: dict[int, int] = {}  # label -> the labels of its flats
+    partners = [0] * (n + 1)  # label -> the labels of its flats
     for flat in flats:
-        mask = sum(1 << x for x in flat)
+        mask = 0
         for x in flat:
-            partners[x] = partners.get(x, 0) | mask
+            mask |= 1 << x
+        for x in flat:
+            partners[x] |= mask
     every = (1 << n + 1) - 2  # labels 1..n
     jobs = []
     units = []
     private = 0
     for flat in flats:
-        if len(flat) == 4:
-            tris = list(itertools.combinations(flat, 3))
-            units += tris
-            keep = every
-        else:
-            tris = [flat]
-            pa, pb, pc = (partners[x] for x in flat)
-            keep = pa & pb | pa & pc | pb & pc
-        for a, b, c in tris:
-            near = keep & ~(1 << a | 1 << b | 1 << c)
+        if len(flat) == 3:
+            a, b, c = flat
+            pa, pb, pc = partners[a], partners[b], partners[c]
+            near = (pa & pb | pa & pc | pb & pc) & ~(1 << a | 1 << b | 1 << c)
             private += n - 3 - near.bit_count()
             if near:
-                jobs.append(((a, b, c), near))
+                jobs.append((flat, near))
+        else:
+            # every t outside the triangle is kept, so no span row is private
+            for tri in itertools.combinations(flat, 3):
+                a, b, c = tri
+                jobs.append((tri, every & ~(1 << a | 1 << b | 1 << c)))
+                units.append(tri)
     return jobs, private, units
 
 
@@ -312,8 +333,11 @@ def rank_side(g: SignedGraph) -> tuple[int, int, int, int]:
     counted, not eliminated.  On a B2-free graph every flat has 3 members,
     so only span rows enter: dim A^2 = C(n,2) - #triangles and dim I3_2 =
     dim span F3 + #triangles.  On a graph with B2 some e_T may already lie
-    in span F3, and the pass ranks those unit rows.  Reads only the graph's
-    n and edges.
+    in span F3, and the pass ranks those unit rows.  The counts need one
+    number besides the flat count: the 4-flats, each of which gives the unit
+    rows of its 4 triangles.  A 3-flat holds 1 triangle and a 4-flat 4, so
+    #triangles = #flats + 3 #4-flats, and dim A^2 = C(n,2) - #triangles +
+    #4-flats.  Reads only the graph's n and edges.
     """
     flats = _rank_flats(g.edges)
     jobs, private, units = _shared_rows(g.n, flats)
@@ -323,9 +347,10 @@ def rank_side(g: SignedGraph) -> tuple[int, int, int, int]:
         [_span_f3_row_stream(jobs, base), ({(a * base + b) * base + c: 1} for a, b, c in units)],
         None,
     )
-    count = sum(comb(len(flat), 3) for flat in flats)
-    a2 = comb(g.n, 2) - sum(comb(len(flat) - 1, 2) for flat in flats)
-    return count, a2, private + c1, private + c2 + count - len(units)
+    # a 4-flat holds 4 triangles, and each gives a unit row
+    fours = len(units) // 4
+    count = len(flats) + 3 * fours
+    return count, comb(g.n, 2) - count + fours, private + c1, private + c2 + count - len(units)
 
 
 def dim_a2(g: SignedGraph) -> int:

@@ -8,7 +8,9 @@ key to value, and one loop ranks them: each row has its leading entry
 until it is zero or takes a column with no pivot yet, where it is stored,
 scaled to leading coefficient 1.  Over the
 rationals the scaling is exact in `Fraction`; over Z/p it is a modular
-inverse.  The rank is the number of pivots.
+inverse.  The rank is the number of pivots.  Over Z/p the row is reduced
+mod p once as it comes in and once after each reduction step, so the
+per-entry loop is the same on both paths and never tests p.
 
 Rows come in groups sharing one set of pivots, so one pass gives the rank
 of the rows up to the end of each group.  A group is read once, so it may be
@@ -73,7 +75,7 @@ def _eliminate(groups, p: int | None) -> list[int]:
 
     Entry k is the rank of the rows of groups 0..k together.  The rows are
     taken over: each must be a dict of its own without zero entries, and the
-    elimination reduces it in place and may keep it as a pivot.
+    elimination may reduce it in place and keep it as a pivot.
     """
     pivots = {}
     counts = []
@@ -103,12 +105,12 @@ def _eliminate(groups, p: int | None) -> list[int]:
                     break
                 for k, v in pivot.items():
                     w = row.get(k, 0) - f * v
-                    if p:
-                        w %= p
                     if w:
                         row[k] = w
                     else:
                         del row[k]
+                if p:
+                    row = {k: w for k, v in row.items() if (w := v % p)}
         counts.append(len(pivots))
     return counts
 

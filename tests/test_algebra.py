@@ -451,6 +451,33 @@ def test_rank_side_eliminates_only_rows_without_a_private_column(monkeypatch, hu
     assert 0 < span_rows < 24 * (g.n - 3)
 
 
+@pytest.mark.parametrize(
+    "ell, seeds, span_rows, all_span_rows",
+    [(7, 100, 1950, 17958), (5, 500, 2498, 13864)],
+)
+def test_rank_side_eliminates_few_rows_on_the_benchmark_pools(monkeypatch, ell, seeds, span_rows, all_span_rows):
+    # the verify-ell7 and verify-ell5 pools (one sampler graph per seed); the
+    # value pins cannot see a walk that keeps more rows than it needs, this
+    # can: 19.5 of 179.6 span rows per graph at 7 vertices, 5.0 of 27.7 at 5
+    calls = []
+    eliminate = rank._eliminate
+
+    def counting_eliminate(groups, p):
+        groups = [list(rows) for rows in groups]
+        calls.append([len(rows) for rows in groups])
+        return eliminate(groups, p)
+
+    monkeypatch.setattr(rank, "_eliminate", counting_eliminate)
+    every = 0
+    for seed in range(seeds):
+        for g in sample_stream(GenConfig(ell=ell, seed=seed)):
+            count, *_ = algebra.rank_side(g)
+            every += count * (g.n - 3)
+    assert len(calls) == seeds
+    assert [sum(rows) for rows in zip(*calls)] == [span_rows, 0]
+    assert every == all_span_rows
+
+
 def test_ideal_dim_is_not_span_plus_triangles_with_b2():
     # some unit rows e_T already lie in span F3, so the pass cannot be an addition
     g = complete_doubled(4, loops=(1, 2))

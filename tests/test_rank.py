@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -23,6 +24,11 @@ big_matrices = arrays(
 
 def sympy_rank(m):
     return sympy.Matrix(m.tolist()).rank()
+
+
+def gf_rank(m, p):
+    """Rank over GF(p) by sympy's domain matrices, independent of rank.py."""
+    return DomainMatrix.from_Matrix(sympy.Matrix(m.tolist())).convert_to(sympy.GF(p)).rank()
 
 
 def test_trivial_cases():
@@ -124,3 +130,29 @@ def test_rows_with_zeros_and_multiples_of_p_match_bigint(m, k):
     assert modp_rank(rows, p) == expected
     shifted = [{**{j: int(v) + k * p for j, v in enumerate(row)}, "p": k * p} for row in m]
     assert modp_rank(shifted, p) == expected
+
+
+@given(small_matrices, st.sampled_from((2, 3, 5)))
+@settings(max_examples=150, deadline=None)
+def test_modp_rank_matches_sympy_over_small_fields(m, p):
+    # at a small p the rank over Z/p often falls below the rank over the
+    # rationals, so a wrong reduction mod p shows here and not at SCREEN_PRIME
+    assert modp_rank(m, p) == gf_rank(m, p)
+
+
+@given(small_matrices, st.sampled_from((2, 3, 5)), st.sampled_from((-3, -2, -1, 1, 2, 3)))
+@settings(max_examples=150, deadline=None)
+def test_modp_rank_drops_multiples_of_small_p(m, p, k):
+    # the same matrix over Z/p with a nonzero multiple of p added to every
+    # entry, as dict rows with one more column of multiples of p only
+    rows = [{**{j: int(v) + k * p for j, v in enumerate(row)}, "p": k * p} for row in m]
+    assert modp_rank(rows, p) == gf_rank(m, p)
+
+
+def test_modp_rank_reduces_after_each_step():
+    # both rows are reduced on entry; mod 3 the step leaves {1: 1 - 2 * 2} =
+    # {1: -3}, zero mod 3 but not as an int: kept unreduced it would become
+    # a pivot with no inverse mod 3
+    rows = [{0: 1, 1: 2}, {0: 2, 1: 1}]
+    assert modp_rank(rows, 3) == 1
+    assert modp_rank(rows, 5) == modp_rank(rows, 2) == exact_rank(rows) == 2

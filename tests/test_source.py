@@ -262,3 +262,22 @@ def test_contains_b2_is_a_method_of_the_class():
     method = SignedGraph.__dict__.get("contains_b2")
     if not callable(method):
         raise AssertionError(f"SignedGraph.__dict__ holds no contains_b2 method: {method!r}")
+
+
+def test_elimination_entry_loop_never_reads_p():
+    # over Z/p the row is reduced once after each reduction step, outside the
+    # loop over the pivot's entries, so that loop is the same on both paths
+    trees = {path.name: tree for path, tree in _modules()}
+    eliminate = next(
+        node for node in trees["rank.py"].body if isinstance(node, ast.FunctionDef) and node.name == "_eliminate"
+    )
+    loops = [
+        node
+        for node in ast.walk(eliminate)
+        if isinstance(node, ast.For) and ast.unparse(node.iter) == "pivot.items()"
+    ]
+    if len(loops) != 1:
+        raise AssertionError(f"expected one loop over pivot.items() in _eliminate, found {len(loops)}")
+    names = {node.id for node in ast.walk(loops[0]) if isinstance(node, ast.Name)}
+    if "p" in names:
+        raise AssertionError(f"_eliminate's entry loop at line {loops[0].lineno} reads p")
