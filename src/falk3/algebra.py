@@ -279,11 +279,18 @@ def _shared_rows(n: int, flats) -> tuple[list, int, list]:
     """
     partners = [0] * (n + 1)  # label -> the labels of its flats
     for flat in flats:
-        mask = 0
-        for x in flat:
-            mask |= 1 << x
-        for x in flat:
-            partners[x] |= mask
+        if len(flat) == 3:
+            a, b, c = flat
+            mask = 1 << a | 1 << b | 1 << c
+            partners[a] |= mask
+            partners[b] |= mask
+            partners[c] |= mask
+        else:
+            mask = 0
+            for x in flat:
+                mask |= 1 << x
+            for x in flat:
+                partners[x] |= mask
     every = (1 << n + 1) - 2  # labels 1..n
     jobs = []
     units = []

@@ -6,7 +6,6 @@ to the balanced class exactly when its edge signs multiply to +1, and a
 doubled pair always carries one edge of each sign.
 """
 
-import itertools
 from collections import namedtuple
 
 from .errors import B2Present
@@ -45,78 +44,81 @@ class Census(namedtuple("Census", "k3 k4 d3 d21 k22 k33 g_circ d31", defaults=(0
         return self.k3 + self.d21 + self.k22
 
 
-# A sign choice on K4 is balanced exactly when it is a switching
-# sigma_i sigma_j of the all-positive one.  Fixing sigma_a = 1, each balanced
-# choice comes from one (sigma_b, sigma_c, sigma_d); these are its signs on
-# the pairs ab, ac, ad, bc, bd, cd.
-_K4_SWITCHINGS = tuple(
-    (xb, xc, xd, xb * xc, xb * xd, xc * xd) for xb, xc, xd in itertools.product((1, -1), repeat=3)
-)
-
-
 def census(g: SignedGraph) -> Census:
     """Count the eight classes in one walk over the graph's pair table.
 
     Every count comes from the graph's pair -> signs table and its loop
-    set.  The census builds its own vertex -> neighbours map from the pair
-    table, then walks the pair table once: each pair ab gives its d21 and
-    k22 counts, and meets each vertex triangle a < b < c through a common
-    neighbour c > b, and each 4-set a < b < c < d through a further common
-    neighbour d > c.  A triangle gives k3, k33, d3 and d31 and, when two of
-    its pairs are doubled and its base is single, g_circ: its apex is the
-    vertex off that base.  So the cost grows with the edges, not with the
-    number of vertices.
+    set.  The census keeps each vertex's larger neighbours as an int
+    bitmask (bit c for vertex c), then walks the pair table once: each pair
+    ab gives its d21 and k22 counts, and the AND of the masks of a and b
+    holds its common neighbours c > b, read off low bit first.  Each
+    vertex triangle a < b < c is met once, and each 4-set a < b < c < d
+    once, through the common neighbours of ab above c that are also
+    neighbours of c.  A triangle gives k3, k33, d3 and d31 and, when two
+    of its pairs are doubled and its base is single, g_circ: its apex is
+    the vertex off that base.  So the cost grows with the edges, not with
+    the number of vertices.
+
+    A sign choice on a 4-set is balanced exactly when its signs on bc, bd
+    and cd are the products of those on ab, ac and ad (the triangles abc,
+    abd and acd balanced make bcd balanced too).  So the k4 count fixes
+    the signs on ab, ac and ad and tests the three the products ask for.
     """
     if g.contains_b2():
         raise B2Present("the census is defined for graphs with no B2 sub-arrangement")
 
     signs = g._signs
-    looped = set(g._loop_label)
-    adj: dict[int, set[int]] = {}  # vertex -> the vertices it shares a non-loop edge with
-    for i, j in signs:
-        adj.setdefault(i, set()).add(j)
-        adj.setdefault(j, set()).add(i)
+    looped = g._loop_label
+    up: dict[int, int] = {}  # vertex -> bitmask of the larger vertices it shares a non-loop edge with
+    for a, b in signs:
+        up[a] = up.get(a, 0) | 1 << b
 
     k3 = k4 = d3 = d21 = k22 = k33 = g_circ = d31 = 0
 
     for (a, b), sab in signs.items():
         ends = (a in looped) + (b in looped)
-        if len(sab) == 2:
+        nab = len(sab)
+        if nab == 2:
             d21 += ends
         if ends == 2:
-            k22 += len(sab)
-        common = adj[a] & adj[b]
-        for c in common:
-            if c < b:
-                continue
-            sbc, sac = signs[(b, c)], signs[(a, c)]
+            k22 += nab
+        common = up[a] & up.get(b, 0)  # the common neighbours c > b
+        while common:
+            low = common & -common
+            c = low.bit_length() - 1
+            common ^= low  # now only the common neighbours above c
+            sac, sbc = signs[a, c], signs[b, c]
+            nac, nbc = len(sac), len(sbc)
             # sign choices, one per pair, with product +1: a pair holding both
             # signs matches each choice with its negation, so then exactly half
-            if len(sab) == len(sbc) == len(sac) == 1:
+            if nab == nac == nbc == 1:
                 balanced = int(sab[0] * sbc[0] * sac[0] == 1)
             else:
-                balanced = len(sab) * len(sbc) * len(sac) // 2
+                balanced = nab * nbc * nac // 2
             k3 += balanced
             nloops = ends + (c in looped)
             if nloops == 3:
                 k33 += balanced
-            if len(sab) == len(sbc) == len(sac) == 2:
+            nedges = nab + nac + nbc
+            if nedges == 6:
                 if nloops == 0:
                     d3 += 1
                 d31 += nloops
-            elif len(sab) + len(sbc) + len(sac) == 5:
+            elif nedges == 5:
                 # two doubled legs meet at the apex, the vertex off the single base
-                g_circ += (c if len(sab) == 1 else a if len(sbc) == 1 else b) in looped
-            for d in common & adj[c]:
-                if d < c:
-                    continue
-                sad, sbd, scd = signs[(a, d)], signs[(b, d)], signs[(c, d)]
-                k4 += sum(
-                    1
-                    for xb, xc, xd, xbc, xbd, xcd in _K4_SWITCHINGS
-                    if xb in sab and xc in sac and xd in sad
-                    and xbc in sbc and xbd in sbd and xcd in scd
-                )
+                g_circ += (c if nab == 1 else a if nbc == 1 else b) in looped
+            fours = common & up.get(c, 0)  # the d > c that close a 4-set abcd
+            while fours:
+                low = fours & -fours
+                d = low.bit_length() - 1
+                fours ^= low
+                sad, sbd, scd = signs[a, d], signs[b, d], signs[c, d]
+                for x in sab:
+                    for y in sac:
+                        if x * y in sbc:
+                            for z in sad:
+                                if x * z in sbd and y * z in scd:
+                                    k4 += 1
 
     return Census(k3, k4, d3, d21, k22, k33, g_circ, d31)
 

@@ -5,6 +5,7 @@ ascending vertex pair, then negative edges by ascending pair, then loops
 by ascending vertex.
 """
 
+import functools
 import itertools
 from collections import namedtuple
 
@@ -38,13 +39,25 @@ class GenConfig(
             raise ValueError(f"samples must be at least 1, got {self.samples}")
         return self
 
+    @classmethod
+    def _make(cls, iterable):
+        """Build through the checks of `__new__`; `_replace` builds through here too."""
+        return cls(*iterable)
 
-def _build(ell, pos_pairs, neg_pairs, loops) -> SignedGraph:
-    """The graph with labels in the module's order; pairs come as ascending (i, j)."""
-    edges = [Edge(POS, i, j) for i, j in pos_pairs]
-    edges += [Edge(NEG, i, j) for i, j in neg_pairs]
-    edges += [Edge(LOOP, v, v) for v in sorted(loops)]
-    return SignedGraph(ell, edges)
+
+@functools.cache
+def _records(ell: int) -> tuple[tuple[Edge, ...], tuple[Edge, ...], tuple[Edge, ...]]:
+    """Every positive edge, negative edge and loop on 1..ell, each ascending.
+
+    Built once per ell: an Edge is immutable, so every graph on ell
+    vertices shares these records instead of building its own.
+    """
+    pairs = list(itertools.combinations(range(1, ell + 1), 2))
+    return (
+        tuple(Edge(POS, i, j) for i, j in pairs),
+        tuple(Edge(NEG, i, j) for i, j in pairs),
+        tuple(Edge(LOOP, v, v) for v in range(1, ell + 1)),
+    )
 
 
 def random_no_b2(cfg: GenConfig, rng=None) -> SignedGraph:
@@ -66,18 +79,19 @@ def random_no_b2(cfg: GenConfig, rng=None) -> SignedGraph:
         import numpy as np
 
         rng = np.random.default_rng(cfg.seed)
-    pairs = list(itertools.combinations(range(1, cfg.ell + 1), 2))
+    ell, p_pos, p_neg, p_loop = cfg.ell, cfg.edge_prob_pos, cfg.edge_prob_neg, cfg.loop_prob
+    positive, negative, looped = _records(ell)
     # one call draws the same doubles, in the same order, as one call per uniform
-    draws = rng.random(2 * len(pairs) + cfg.ell).tolist()
-    pos_pairs = [p for p, u in zip(pairs, draws[0::2]) if u < cfg.edge_prob_pos]
-    neg_pairs = [p for p, u in zip(pairs, draws[1::2]) if u < cfg.edge_prob_neg]
-    loops = {v for v, u in enumerate(draws[2 * len(pairs) :], start=1) if u < cfg.loop_prob}
+    draws = rng.random(2 * len(positive) + ell).tolist()
+    pos_edges = [e for e, u in zip(positive, draws[0::2]) if u < p_pos]
+    neg_edges = [e for e, u in zip(negative, draws[1::2]) if u < p_neg]
+    loops = {v for v, u in enumerate(draws[2 * len(positive) :], start=1) if u < p_loop}
     if loops:
-        negative = set(neg_pairs)
-        for i, j in pos_pairs:
-            if i in loops and j in loops and (i, j) in negative:
+        doubled = {(i, j) for _, i, j in neg_edges}
+        for _, i, j in pos_edges:
+            if i in loops and j in loops and (i, j) in doubled:
                 loops.remove((i, j)[int(rng.integers(0, 2))])
-    return _build(cfg.ell, pos_pairs, neg_pairs, loops)
+    return SignedGraph(ell, pos_edges + neg_edges + [looped[v - 1] for v in sorted(loops)])
 
 
 def sample_stream(cfg: GenConfig):
@@ -98,16 +112,11 @@ def enumerate_all(ell: int):
     """
     if ell < 0:
         raise ValueError(f"ell must be at least 0, got {ell}")
-    pairs = list(itertools.combinations(range(1, ell + 1), 2))
-    for pair_states in itertools.product(range(4), repeat=len(pairs)):
-        pos_pairs = [p for p, s in zip(pairs, pair_states) if s in (1, 3)]
-        neg_pairs = [p for p, s in zip(pairs, pair_states) if s in (2, 3)]
+    positive, negative, looped = _records(ell)
+    for pair_states in itertools.product(range(4), repeat=len(positive)):
+        edges = [e for e, s in zip(positive, pair_states) if s in (1, 3)]
+        edges += [e for e, s in zip(negative, pair_states) if s in (2, 3)]
         for loop_bits in itertools.product((0, 1), repeat=ell):
-            g = _build(
-                ell,
-                pos_pairs,
-                neg_pairs,
-                [v for v, bit in enumerate(loop_bits, start=1) if bit],
-            )
+            g = SignedGraph(ell, edges + [e for e, bit in zip(looped, loop_bits) if bit])
             if not g.contains_b2():
                 yield g

@@ -69,8 +69,11 @@ def serialize(g: SignedGraph) -> str:
 
 
 def parse_sigma(text: str, ell: int) -> tuple[int, ...]:
-    """Parse a switching function given as comma-separated '+'/'-' tokens."""
-    tokens = [t.strip() for t in text.split(",")]
+    """Parse a switching function given as comma-separated '+'/'-' tokens.
+
+    A blank text holds no tokens: it is the switching of a 0-vertex graph.
+    """
+    tokens = [t.strip() for t in text.split(",")] if text.strip() else []
     if len(tokens) != ell:
         raise FalkError(f"sigma has {len(tokens)} entries, expected {ell}")
     out = []

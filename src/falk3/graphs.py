@@ -59,49 +59,64 @@ class SignedGraph:
     """Immutable signed graph; label k (1-based) is the k-th edge of the list."""
 
     def __init__(self, ell: int, edges):
+        """Check and normalize `edges`, filling every table in one walk.
+
+        Each edge is unpacked once.  Its checks run in a fixed order, and the
+        first that fails raises: the kind (ValueError), the endpoints
+        (VertexOutOfRange), then a signed edge on one vertex (SelfPairEdge)
+        and a signed edge or loop met before (DuplicateEdge).  Every
+        EdgeError carries the edge's label.  A signed edge is put on i < j
+        and a loop on i == j; a new Edge is built only for an edge that
+        needs it, or for a plain (kind, i, j) triple.  The B2 witnesses need
+        two loops, so a graph with no loop skips their walk.
+        """
         if ell < 0:
             raise VertexOutOfRange(f"vertex count must be nonnegative, got {ell}")
         normalized = []
         # the label maps double as the duplicate check: tuple keys hash faster than Edge
-        self._sign_label: dict[tuple[int, int, int], int] = {}  # (i, j, sign) -> label
-        self._signs: dict[tuple[int, int], tuple[int, ...]] = {}  # i < j -> signs, positive first
-        self._loop_label: dict[int, int] = {}
+        sign_label = self._sign_label = {}  # (i, j, sign) -> label
+        signs = self._signs = {}  # i < j -> signs, positive first
+        loops = self._loop_label = {}  # vertex -> label of its loop
         for label, e in enumerate(edges, start=1):
-            kind, i, j = e.kind, e.i, e.j
-            if kind not in (POS, NEG, LOOP):
+            kind, i, j = e
+            if kind == POS:
+                s = 1
+            elif kind == NEG:
+                s = -1
+            elif kind == LOOP:
+                s = 0
+            else:
                 raise ValueError(f"edge {label}: unknown kind {kind!r}")
             if not (1 <= i <= ell and 1 <= j <= ell):
                 raise VertexOutOfRange(f"endpoints {(i, j)} outside 1..{ell}", label)
-            if kind == LOOP:
-                if j != i:
-                    e = Edge(LOOP, i, i)
-                if i in self._loop_label:
-                    raise DuplicateEdge(f"duplicate {kind!r} edge at {(i, i)}", label)
-                self._loop_label[i] = label
-            else:
+            if s:
                 if i == j:
                     raise SelfPairEdge(f"signed edge from vertex {i} to itself", label)
                 if i > j:
                     i, j = j, i
                     e = Edge(kind, i, j)
-                s = 1 if kind == POS else -1
-                if (i, j, s) in self._sign_label:
+                if (i, j, s) in sign_label:
                     raise DuplicateEdge(f"duplicate {kind!r} edge at {(i, j)}", label)
-                self._sign_label[i, j, s] = label
+                sign_label[i, j, s] = label
                 # a pair met twice holds both signs
-                self._signs[i, j] = (1, -1) if (i, j) in self._signs else (s,)
-            normalized.append(e)
+                signs[i, j] = (1, -1) if (i, j) in signs else (s,)
+            else:
+                if j != i:
+                    e = Edge(LOOP, i, i)
+                if i in loops:
+                    raise DuplicateEdge(f"duplicate {kind!r} edge at {(i, i)}", label)
+                loops[i] = label
+            normalized.append(e if type(e) is Edge else Edge(kind, i, j))
 
         self.ell = ell
         self.edges: tuple[Edge, ...] = tuple(normalized)
         self.n = len(self.edges)
         # the B2 witnesses {+ij, -ij, loop i, loop j}: sorted label 4-tuples, in ascending order
-        labels, loops = self._sign_label, self._loop_label
         self._b2: tuple[tuple[int, int, int, int], ...] = tuple(sorted(
-            tuple(sorted((labels[i, j, 1], labels[i, j, -1], loops[i], loops[j])))
-            for (i, j), signs in self._signs.items()
-            if len(signs) == 2 and i in loops and j in loops
-        ))
+            tuple(sorted((sign_label[i, j, 1], sign_label[i, j, -1], loops[i], loops[j])))
+            for (i, j), pair_signs in signs.items()
+            if len(pair_signs) == 2 and i in loops and j in loops
+        )) if loops else ()
 
     # -- basic accessors ------------------------------------------------
 

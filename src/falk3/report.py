@@ -38,19 +38,9 @@ def build_report(g: SignedGraph) -> FalkReport:
     b2 = g.contains_b2()
     cen = None if b2 else census(g)
     formula = None if b2 else phi3_formula(cen)
-    return FalkReport(
-        ell=g.ell,
-        n=g.n,
-        contains_b2=b2,
-        triangle_count=count,
-        dim_A2=a2,
-        dim_I3_2=i32,
-        dim_span_F3=span,
-        phi3_oracle=oracle,
-        phi3_formula=formula,
-        census=cen,
-        agreement=None if b2 else oracle == formula and count == cen.triangle_total(),
-    )
+    agreement = None if b2 else oracle == formula and count == cen.triangle_total()
+    # positional, in field order
+    return FalkReport(g.ell, g.n, b2, count, a2, i32, span, oracle, formula, cen, agreement)
 
 
 def to_json_dict(r: FalkReport) -> dict:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from math import comb
 
 import pytest
@@ -92,6 +93,36 @@ def test_doubled_specialization():
     assert c.k3 == 4 * comb(4, 3)  # each vertex triple carries 4 balanced cycles
     assert c.d3 == comb(4, 3)
     assert c.d21 == c.k22 == c.d31 == c.g_circ == 0
+
+
+def _k4_by_brute_force(g) -> int:
+    """Reference: on every vertex 4-set, the choices of one signed edge per pair
+    whose four triangles all have sign product +1."""
+    count = 0
+    for quad in itertools.combinations(range(1, g.ell + 1), 4):
+        pairs = list(itertools.combinations(quad, 2))
+        for choice in itertools.product(*(g.signs_on(i, j) for i, j in pairs)):
+            sign = dict(zip(pairs, choice))
+            if all(
+                sign[x, y] * sign[x, z] * sign[y, z] == 1
+                for x, y, z in itertools.combinations(quad, 3)
+            ):
+                count += 1
+    return count
+
+
+def test_k4_matches_brute_force():
+    for ell in (4, 5, 6):
+        for g in (complete_doubled(ell), complete_positive(ell)):
+            assert census(g).k4 == _k4_by_brute_force(g)
+    # a doubled K_l has 8 balanced choices on each 4-set, a positive one 1
+    assert census(complete_doubled(6)).k4 == 8 * comb(6, 4)
+    assert census(complete_positive(6)).k4 == comb(6, 4)
+
+    def check(g):
+        assert census(g).k4 == _k4_by_brute_force(g)
+
+    given(signed_graphs(max_ell=6, allow_b2=False))(settings(max_examples=150, deadline=None)(check))()
 
 
 def test_census_as_dict_keys(hub4):

@@ -411,6 +411,20 @@ def test_switch_bad_sigma(capsys):
     assert "sigma" in capsys.readouterr().err
 
 
+def test_switch_empty_sigma_on_zero_vertices(tmp_path, capsys):
+    # compute accepts a 0-vertex file, so switch takes its one switching, the empty one
+    path = tmp_path / "empty.graph"
+    path.write_text("vertices 0\n")
+    assert main(["compute", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["switch", str(path), "--sigma="]) == 0
+    assert capsys.readouterr() == ("vertices 0\n", "")
+    assert parse_sigma("", 0) == parse_sigma(" ", 0) == ()
+    # on a graph with vertices, an empty sigma is too short
+    assert main(["switch", str(SAMPLES / "looped_wedge.graph"), "--sigma="]) == 1
+    assert capsys.readouterr().err == "error: sigma has 0 entries, expected 3\n"
+
+
 # ---------------------------------------------------------------- cold start
 
 # Run in a fresh interpreter: numpy is loaded only by the sampler and the

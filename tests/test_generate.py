@@ -124,3 +124,23 @@ def test_config_validation():
         GenConfig(ell=3, loop_prob=-0.1)
     with pytest.raises(ValueError):
         GenConfig(ell=3, samples=0)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("ell", 0), ("edge_prob_pos", 1.5), ("edge_prob_neg", -0.2), ("loop_prob", 1.01), ("samples", 0)],
+)
+def test_replace_and_make_validate(field, value):
+    # _replace builds through _make, and _make through the checks of GenConfig(...)
+    cfg = GenConfig(ell=3)
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        cfg._replace(**{field: value})
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        GenConfig._make(value if f == field else v for f, v in zip(cfg._fields, cfg))
+
+
+def test_replace_and_make_keep_valid_configs():
+    cfg = GenConfig(ell=3)
+    assert cfg._replace(samples=4, seed=2) == GenConfig(ell=3, seed=2, samples=4)
+    assert GenConfig._make((5, 0.5, 0.3, 0.3, 7, 2)) == GenConfig(ell=5, seed=7, samples=2)
+    assert len(list(sample_stream(cfg._replace(samples=3)))) == 3

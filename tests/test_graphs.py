@@ -17,8 +17,10 @@ from falk3 import (
     complete_positive,
     loop,
     neg,
+    parse_graph,
     pos,
 )
+from falk3.errors import EdgeError
 from falk3.graphs import LOOP, NEG, POS
 from helpers import b2_graph, graphs_with_sigma, hub4_mixed, signed_graphs
 
@@ -46,6 +48,10 @@ def test_build_normalizes_endpoint_order():
     # an Edge built directly is normalized too: a loop onto i == j, an edge onto i < j
     g = SignedGraph(3, [Edge(LOOP, 2, 3), Edge(NEG, 3, 1)])
     assert g.edges == (loop(2), neg(1, 3))
+    # plain (kind, i, j) triples come out as Edge records
+    g = SignedGraph(3, [(POS, 1, 2), (LOOP, 3, 3), (NEG, 3, 1)])
+    assert g.edges == (pos(1, 2), loop(3), neg(1, 3))
+    assert all(type(e) is Edge for e in g.edges)
 
 
 def test_build_rejects_duplicates():
@@ -68,6 +74,46 @@ def test_build_rejects_bad_vertices():
         SignedGraph(2, [pos(1, 1)])
     with pytest.raises(ValueError, match="unknown kind 'x'"):
         SignedGraph(2, [Edge("x", 1, 2)])
+
+
+# (ell, edges, class, label, detail): each fault as the constructor reports it.
+# Its checks run in a fixed order (kind, endpoints, self pair, duplicate), so an
+# edge with two faults is reported by the first.
+_FAULTS = [
+    pytest.param(2, [pos(1, 2), Edge("x", 1, 2)], ValueError, 2, "unknown kind 'x'", id="unknown-kind"),
+    pytest.param(2, [Edge(POS, 1, 3)], VertexOutOfRange, 1, "endpoints (1, 3) outside 1..2", id="edge-out-of-range"),
+    pytest.param(2, [pos(1, 2), loop(0)], VertexOutOfRange, 2, "endpoints (0, 0) outside 1..2", id="loop-out-of-range"),
+    pytest.param(3, [loop(2), Edge(LOOP, 2, 4)], VertexOutOfRange, 2, "endpoints (2, 4) outside 1..3", id="loop-far-end"),
+    pytest.param(2, [Edge("x", 1, 3)], ValueError, 1, "unknown kind 'x'", id="unknown-kind-and-out-of-range"),
+    pytest.param(2, [pos(1, 2), Edge(POS, 1, 1)], SelfPairEdge, 2, "signed edge from vertex 1 to itself", id="self-pair"),
+    pytest.param(2, [Edge(POS, 1, 2), Edge(POS, 2, 1)], DuplicateEdge, 2, "duplicate '+' edge at (1, 2)", id="duplicate-ascending-first"),
+    pytest.param(2, [Edge(NEG, 2, 1), Edge(NEG, 1, 2)], DuplicateEdge, 2, "duplicate '-' edge at (1, 2)", id="duplicate-descending-first"),
+    pytest.param(2, [loop(1), pos(1, 2), loop(1)], DuplicateEdge, 3, "duplicate 'o' edge at (1, 1)", id="duplicate-loop"),
+]
+
+
+@pytest.mark.parametrize("ell,edges,cls,label,detail", _FAULTS)
+def test_build_reports_each_fault(ell, edges, cls, label, detail):
+    with pytest.raises(Exception) as info:
+        SignedGraph(ell, edges)
+    exc = info.value
+    assert type(exc) is cls
+    assert str(exc) == f"edge {label}: {detail}"
+    if cls is not ValueError:
+        assert (exc.label, exc.detail) == (label, detail)
+    # the same edges as a file, one line apart: parse_graph restates the fault
+    # by the file line of the edge, so edge k sits on line 2 + 2k
+    if any(e.kind not in (POS, NEG, LOOP) or (e.kind == LOOP and e.i != e.j) for e in edges):
+        return  # no file line spells this edge
+    lines = [f"vertices {ell}", "# one edge every second line"]
+    for e in edges:
+        lines += ["", f"o {e.i}" if e.kind == LOOP else f"{e.kind} {e.i} {e.j}"]
+    with pytest.raises(EdgeError) as info:
+        parse_graph("\n".join(lines) + "\n")
+    exc = info.value
+    restated = f"line {2 + 2 * label}: {detail}"
+    assert type(exc) is cls
+    assert (str(exc), exc.label, exc.detail) == (restated, None, restated)
 
 
 def test_normal_vectors(looped_wedge):
