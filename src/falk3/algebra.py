@@ -13,8 +13,8 @@ vertices, where one lookup of a direction sign decides it (see there).
 Two flats share at most one label, so a label pair lies in at most one
 flat.  A triangle's kind (k3, d21, k22) is its number of loops (see
 `triangles`).  The triangles are checked outside this module:
-`build_report` compares their count with the census's k3 + d21 + k22 on
-every B2-free graph.
+`build_report` compares their counts by kind with the census's k3, d21
+and k22 on every B2-free graph.
 
 `rank_side` is the one rank-side pass per graph: the flats once, then one
 exact elimination over two groups of rows.  dim A^2 needs no rows:
@@ -107,8 +107,10 @@ def wedge(label: int, vec: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _rank_flats(edges) -> list[tuple[int, ...]]:
-    """Rank route: the rank-2 flats with 3 or more members, as ascending label tuples (1-based).
+def _rank_flats(edges) -> tuple[list[tuple[int, ...]], int, int]:
+    """Rank route: the rank-2 flats with 3 or more members, as ascending
+    label tuples (1-based), then the number of their triangles that hold one
+    loop and the number that hold two.
 
     Precondition: `edges` is the edge tuple of a SignedGraph, whose
     constructor puts every edge on i < j, every loop on i == j, and no
@@ -144,7 +146,11 @@ def _rank_flats(edges) -> list[tuple[int, ...]]:
     entry, and the walk to the normals on s < q starts past the run.  Each
     coordinate plane is found once from its lower vertex, and each 3-vertex
     flat once from its least vertex s, so no flat is found twice.  The cost
-    follows those pairs.
+    follows those pairs.  The loop counts are tallied where a coordinate
+    plane is found: a 4-member plane (both normals, both loops) has 2
+    triangles with one loop and 2 with two, and a 3-member plane's one
+    triangle holds both loops exactly when it has one normal.  A 3-vertex
+    flat holds no loop.
     """
     loops: dict[int, int] = {}  # vertex -> label of its loop
     lines: dict[tuple[int, int, int], int] = {}  # (i, j, r) -> label
@@ -161,6 +167,7 @@ def _rank_flats(edges) -> list[tuple[int, ...]]:
                 ups.append((j, k, r))
             lines[i, j, r] = k
     flats = []
+    one = two = 0  # triangles holding one loop, two loops
     for s, ups in up.items():
         ups.sort()
         size = len(ups)
@@ -182,11 +189,18 @@ def _rank_flats(edges) -> list[tuple[int, ...]]:
                 if len(plane) >= 3:
                     plane.sort()
                     flats.append(tuple(plane))
+                    if len(plane) == 4:
+                        one += 2
+                        two += 2
+                    elif ls and lp:
+                        two += 1
+                    else:
+                        one += 1
             for q, kv, t in ups[y:]:
                 w = lines.get((p, q, -r * t))
                 if w is not None:
                     flats.append(tuple(sorted((ku, kv, w))))
-    return flats
+    return flats, one, two
 
 
 # the kind of a dependent triple by how many of its hyperplanes are loops
@@ -203,7 +217,7 @@ def triangles(g: SignedGraph) -> list[Triangle]:
     k22 (on 2 vertices p < q, the normals on pq with the loops at p and q).
     """
     edges = g.edges
-    tris = sorted(t for flat in _rank_flats(edges) for t in itertools.combinations(flat, 3))
+    tris = sorted(t for flat in _rank_flats(edges)[0] for t in itertools.combinations(flat, 3))
     return [Triangle(t, _KINDS[sum(edges[k - 1].kind == LOOP for k in t)]) for t in tris]
 
 
@@ -331,8 +345,8 @@ def rows_to_matrix(rows) -> np.ndarray:
 # -- dimensions and the invariant -------------------------------------------
 
 
-def rank_side(g: SignedGraph) -> tuple[int, int, int, int]:
-    """(#triangles, dim A^2, dim span F3, dim I3_2) of one graph.
+def rank_side(g: SignedGraph) -> tuple[int, int, int, int, dict[str, int]]:
+    """(#triangles, dim A^2, dim span F3, dim I3_2, triangles by kind) of one graph.
 
     dim A^2 is Brieskorn's count over the flats (see the module docstring).
     One elimination over the rows with no private column, in two groups:
@@ -344,9 +358,11 @@ def rank_side(g: SignedGraph) -> tuple[int, int, int, int]:
     number besides the flat count: the 4-flats, each of which gives the unit
     rows of its 4 triangles.  A 3-flat holds 1 triangle and a 4-flat 4, so
     #triangles = #flats + 3 #4-flats, and dim A^2 = C(n,2) - #triangles +
-    #4-flats.  Reads only the graph's n and edges.
+    #4-flats.  The kinds map each of `_KINDS` to its count: the flats give
+    the triangles with one loop and with two, and the rest of the count,
+    all on 3-vertex flats, holds none.  Reads only the graph's n and edges.
     """
-    flats = _rank_flats(g.edges)
+    flats, one, two = _rank_flats(g.edges)
     jobs, private, units = _shared_rows(g.n, flats)
     base = g.n + 1
     # streamed: each row is built when the elimination reads it, never all at once
@@ -357,7 +373,8 @@ def rank_side(g: SignedGraph) -> tuple[int, int, int, int]:
     # a 4-flat holds 4 triangles, and each gives a unit row
     fours = len(units) // 4
     count = len(flats) + 3 * fours
-    return count, comb(g.n, 2) - count + fours, private + c1, private + c2 + count - len(units)
+    kinds = {_KINDS[0]: count - one - two, _KINDS[1]: one, _KINDS[2]: two}
+    return count, comb(g.n, 2) - count + fours, private + c1, private + c2 + count - len(units), kinds
 
 
 def dim_a2(g: SignedGraph) -> int:
@@ -396,5 +413,5 @@ def phi3_from_dims(n: int, a2: int, dim_i3_2: int) -> int:
 
 def phi3_oracle(g: SignedGraph) -> int:
     """The third invariant by exact ranks; any signed graph."""
-    _count, a2, _span, ideal = rank_side(g)
+    _count, a2, _span, ideal, _kinds = rank_side(g)
     return phi3_from_dims(g.n, a2, ideal)

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (including oracle-only runs on B2 graphs), 1 file or
 input errors, 2 a computed disagreement between the rank side and the census
-(the phi3 values or the triangle counts).
+(`report.broken_identity` names it).
 """
 
 import argparse
@@ -10,11 +10,11 @@ import functools
 import json
 import sys
 
-from .census import census, dim_i3_2_formula, phi3_formula
+from .census import census, phi3_formula
 from .errors import FalkError
 from .generate import GenConfig, enumerate_all, sample_stream
 from .graph_io import parse_graph, parse_sigma, serialize
-from .report import build_report, render_text, to_json_dict
+from .report import broken_identity, build_report, render_text, to_json_dict
 
 
 def _load(path: str):
@@ -29,7 +29,10 @@ def _cmd_compute(args) -> int:
         print(json.dumps(to_json_dict(report), indent=2))
     else:
         print(render_text(report))
-    return 2 if report.agreement is False else 0
+    if report.agreement is False:
+        print(f"broken identity: {broken_identity(g, report)}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def _cmd_census(args) -> int:
@@ -74,19 +77,10 @@ def _cmd_verify(args) -> int:
         if report.agreement:
             agreed += 1
         elif first_bad is None:
-            # a wrong triangle count breaks the two identities below it, and a
-            # wrong dim I3_2 breaks phi3, so the first one that breaks is named
-            if report.triangle_count != report.census.triangle_total():
-                broken = "triangle count"
-            elif report.dim_I3_2 != dim_i3_2_formula(g, report.census):
-                broken = "dim I3_2 closed form"
-            else:
-                broken = "phi3"
-            first_bad = f"broken identity: {broken}\n{serialize(g)}"
+            first_bad = f"broken identity: {broken_identity(g, report)}\n{serialize(g)}"
     print(f"{agreed}/{total} graphs agree")
     if agreed != total:
-        print("first counterexample:")
-        print(first_bad, end="")
+        print(f"first counterexample:\n{first_bad}", end="")
         return 2
     return 0
 

@@ -135,14 +135,14 @@ def test_rank_route_keeps_the_pair_of_two_loops():
     # edge 12 opens the coordinate-plane group of 12, which takes in the loops at
     # both of its vertices
     g = SignedGraph(2, [loop(1), loop(2), pos(1, 2)])
-    assert algebra._rank_flats(g.edges) == [(1, 2, 3)]
-    assert algebra._rank_flats(g.edges[:2]) == []
+    assert algebra._rank_flats(g.edges)[0] == [(1, 2, 3)]
+    assert algebra._rank_flats(g.edges[:2])[0] == []
 
 
 def test_rank_route_skips_disjoint_pairs_on_three_vertices():
     # a loop and an edge off its vertex span a plane that holds no third normal
     g = SignedGraph(3, [loop(1), pos(2, 3), neg(2, 3), loop(2)])
-    assert algebra._rank_flats(g.edges) == [(2, 3, 4)]
+    assert algebra._rank_flats(g.edges)[0] == [(2, 3, 4)]
 
 
 @st.composite
@@ -160,7 +160,7 @@ def test_rank_route_matches_brute_force_ranks(g):
     # rank-2 flats meet in at most one hyperplane; and the 4-flats are the
     # graph's own B2 witnesses, which ties Brieskorn's +#4-flats term to the
     # B2 table without the rank side reading it
-    flats = algebra._rank_flats(g.edges)
+    flats = algebra._rank_flats(g.edges)[0]
     assert all(list(flat) == sorted(set(flat)) and len(flat) in (3, 4) for flat in flats)
     triples = [t for flat in flats for t in itertools.combinations(flat, 3)]
     expected = [t for t in itertools.combinations(range(1, g.n + 1), 3) if _dependent(g, t)]
@@ -168,6 +168,28 @@ def test_rank_route_matches_brute_force_ranks(g):
     pairs = [pair for flat in flats for pair in itertools.combinations(flat, 2)]
     assert len(pairs) == len(set(pairs))
     assert sorted(flat for flat in flats if len(flat) == 4) == g.b2_witnesses()
+
+
+@given(shuffled_graphs())
+@settings(max_examples=200, deadline=None)
+def test_rank_side_kinds_count_the_triangles_by_kind(g):
+    # the walk tallies the loops of each coordinate plane it finds; the
+    # tallies must match the kinds triangles() reads off each 3-subset
+    kinds = algebra.rank_side(g)[4]
+    expected = {kind: 0 for kind in ("k3", "d21", "k22")}
+    for tri in triangles(g):
+        expected[tri.kind] += 1
+    assert kinds == expected
+    assert sum(kinds.values()) == algebra.rank_side(g)[0]
+
+
+def test_rank_side_kinds_of_the_coordinate_planes():
+    # one plane each: loops at both ends with one normal (a k22), one loop
+    # with both normals (a d21), and a B2 (both of each: 2 d21 and 2 k22)
+    assert algebra._rank_flats(SignedGraph(2, [pos(1, 2), loop(1), loop(2)]).edges)[1:] == (0, 1)
+    assert algebra._rank_flats(SignedGraph(2, [pos(1, 2), neg(1, 2), loop(2)]).edges)[1:] == (1, 0)
+    assert algebra.rank_side(complete_doubled(2, loops=(1, 2)))[4] == {"k3": 0, "d21": 2, "k22": 2}
+    assert algebra.rank_side(complete_doubled(4, loops=(1,)))[4] == {"k3": 16, "d21": 3, "k22": 0}
 
 
 def _reference_span_rows(g, tris):
@@ -343,7 +365,7 @@ def _local_bound(g):
     # the holonomy Lie algebra maps onto the sum of the local ones, so phi3
     # is at least the sum over the rank-2 flats X of phi3 of the free group
     # on m_X - 1 letters, ((m - 1)^3 - (m - 1)) / 3: 2 for a 3-flat, 8 for a 4-flat
-    return sum(2 if len(flat) == 3 else 8 for flat in algebra._rank_flats(g.edges))
+    return sum(2 if len(flat) == 3 else 8 for flat in algebra._rank_flats(g.edges)[0])
 
 
 @given(signed_graphs(max_ell=5, allow_b2=True))
@@ -400,7 +422,7 @@ def _assert_one_pass_matches_two_eliminations(g):
     span_rows = span_f3_rows(g)
     both = span_rows + [{t.labels: 1} for t in triangles(g)]
     expected = (exact_rank(span_rows), exact_rank(both))
-    assert algebra.rank_side(g)[2:] == expected
+    assert algebra.rank_side(g)[2:4] == expected
     assert (dim_span_f3(g), rank_i3_2(g)) == expected
     assert exact_rank(ideal3_rows(g)) == expected[1]
     if len(both) <= 120:
@@ -431,7 +453,7 @@ def test_rank_side_eliminates_only_rows_without_a_private_column(monkeypatch, hu
         return eliminate(groups, p)
 
     monkeypatch.setattr(rank, "_eliminate", counting_eliminate)
-    count, _a2, span, ideal = algebra.rank_side(hub4)
+    count, _a2, span, ideal, _kinds = algebra.rank_side(hub4)
     assert (count, span, ideal) == (12, 83, 95)
     # B2-free: every unit row has a private column and dim A^2 is counted,
     # so the one elimination ranks only the shared span rows
@@ -442,7 +464,7 @@ def test_rank_side_eliminates_only_rows_without_a_private_column(monkeypatch, hu
 
     calls.clear()
     g = complete_doubled(4, loops=(1, 2))
-    assert algebra.rank_side(g) == (24, comb(14, 2) - 24 + 1, 212, 232)
+    assert algebra.rank_side(g)[:4] == (24, comb(14, 2) - 24 + 1, 212, 232)
     # still one elimination: the shared span rows, then the unit rows of
     # the 4 triangles in the B2 flat
     assert len(calls) == 1
@@ -511,8 +533,9 @@ def _random_b2_graphs(count, seed):
     return out
 
 
-# sha256 over rank_side(g) and the (labels, kind) of triangles(g), one line per
-# graph, for enumerate_all(3), then doubled and all-positive K3-K5 with loops
+# sha256 over the first four values of rank_side(g) (the counts, not the
+# kinds) and the (labels, kind) of triangles(g), one line per graph, for
+# enumerate_all(3), then doubled and all-positive K3-K5 with loops
 # (), (1,), (1, 2) and every vertex, then _random_b2_graphs(200, seed=12);
 # recorded with the earlier rank side (a rank route that keyed every touching
 # label pair, and eliminations over every boundary and unit row), so the pin
@@ -529,7 +552,7 @@ def test_rank_side_is_pinned_by_value():
     h = hashlib.sha256()
     for g in graphs:
         tris = [(t.labels, t.kind) for t in triangles(g)]
-        h.update(f"{algebra.rank_side(g)} {tris}\n".encode())
+        h.update(f"{algebra.rank_side(g)[:4]} {tris}\n".encode())
     # raise, not assert: the pin must hold under python -O too
     if len(graphs) != 651 or h.hexdigest() != _RANK_SIDE_SHA256:
         raise AssertionError(f"rank side of {len(graphs)} graphs hashes to {h.hexdigest()}")

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 
 from falk3 import (
-    Census,
     DuplicateEdge,
     ParseError,
     SelfPairEdge,
     SignedGraph,
     VertexOutOfRange,
     complete_doubled,
+    enumerate_all,
     loop,
     neg,
     parse_graph,
@@ -89,6 +89,13 @@ def test_parse_missing_vertices_line():
     with pytest.raises(ParseError) as exc:
         parse_graph("# only a comment\n")
     assert exc.value.line_no == 1
+
+
+def test_parse_negative_vertex_count():
+    with pytest.raises(ParseError) as exc:
+        parse_graph("vertices -1\n+ 1 2\n")
+    assert exc.value.line_no == 1
+    assert str(exc.value) == "line 1: vertex count must be nonnegative, got -1"
 
 
 def test_parse_bad_directives():
@@ -174,6 +181,20 @@ def test_compute_b2_graph_is_oracle_only(tmp_path, capsys):
     assert data["phi3_oracle"] == 8
 
 
+def test_compute_text_on_a_b2_graph(tmp_path, capsys):
+    # the census lines give way to one n/a line, and no agreement is reported
+    path = tmp_path / "b2.graph"
+    path.write_text("vertices 2\n+ 1 2\n- 1 2\no 1\no 2\n")
+    assert main(["compute", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[-3:] == [
+        "dim span F3         4",
+        "phi3 (rank oracle)  8",
+        "phi3 (census)       n/a (B2 present, census formula inapplicable)",
+    ]
+
+
 def test_compute_missing_file(capsys):
     assert main(["compute", "no_such_file.graph"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -255,47 +276,98 @@ def _plus_one(real):
 
 def _without_least_flat(real):
     def dropping(edges):
-        found = real(edges)
-        return [flat for flat in found if flat != min(found)]
+        found, one, two = real(edges)
+        return [flat for flat in found if flat != min(found)], one, two
 
     return dropping
 
 
+def _one_more_d21(real):
+    def miscounting(g):
+        counts = real(g)
+        return counts._replace(d21=counts.d21 + 1)
+
+    return miscounting
+
+
 _FIRST_BAD = "0/15 graphs agree\nfirst counterexample:\nbroken identity: {}\nvertices 2\n"
+
+# one fault on each side of each identity: the census formula, the census
+# formula with the dim I3_2 closed form, a rank route that drops a flat, and
+# a census kind
+_PHI3 = [(report, "phi3_formula", _plus_one)]
+_DIM_I3_2 = _PHI3 + [(report, "dim_i3_2_formula", _plus_one)]
+_RANK_FLAT = [(algebra, "_rank_flats", _without_least_flat)]
+_CENSUS_KIND = [(report, "census", _one_more_d21)]
 
 
 @pytest.mark.parametrize(
     "patches, out",
     [
-        pytest.param([(report, "phi3_formula", _plus_one)], _FIRST_BAD.format("phi3"), id="off_by_one0-phi3"),
+        pytest.param(_PHI3, _FIRST_BAD.format("phi3"), id="off_by_one0-phi3"),
         pytest.param(
-            [(report, "phi3_formula", _plus_one), (cli, "dim_i3_2_formula", _plus_one)],
+            _DIM_I3_2,
             _FIRST_BAD.format("dim I3_2 closed form"),
             id="off_by_one1-dim I3_2 closed form",
         ),
         pytest.param(
-            [(algebra, "_rank_flats", _without_least_flat)],
-            "11/15 graphs agree\nfirst counterexample:\nbroken identity: triangle count\n"
+            _RANK_FLAT,
+            "11/15 graphs agree\nfirst counterexample:\nbroken identity: triangle kinds\n"
             "vertices 2\n+ 1 2\no 1\no 2\n",
             id="triangle count",
         ),
-        pytest.param(
-            [(Census, "triangle_total", _plus_one)],
-            _FIRST_BAD.format("triangle count"),
-            id="census triangle count",
-        ),
+        pytest.param(_CENSUS_KIND, _FIRST_BAD.format("triangle kinds"), id="census triangle count"),
     ],
 )
 def test_verify_names_the_broken_identity(monkeypatch, capsys, patches, out):
     # the report's census formula off by one makes every graph disagree; the
     # dim I3_2 closed form is named when it disagrees with the rank side too.
     # A rank route that drops a flat breaks the four 2-vertex graphs with a
-    # triangle, and the triangle count is named ahead of the rest; a census
-    # triangle total off by one breaks every graph, though phi3 still agrees
+    # triangle, and the triangle kinds are named ahead of the rest; a census
+    # d21 off by one breaks every graph, and the kinds are named ahead of phi3
     for module, name, wrap in patches:
         monkeypatch.setattr(module, name, wrap(getattr(module, name)))
     assert main(["verify", "--vertices", "2", "--exhaustive"]) == 2
     assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize(
+    "patches",
+    [[], _PHI3, _DIM_I3_2, _RANK_FLAT, _CENSUS_KIND],
+    ids=["none", "phi3", "dim I3_2 closed form", "rank flat", "census kind"],
+)
+def test_agreement_is_no_broken_identity(monkeypatch, patches):
+    # agreement and broken_identity read the same identities, so a report
+    # agrees exactly when no identity is broken, with or without a fault
+    for module, name, wrap in patches:
+        monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    graphs = list(enumerate_all(3)) + [hub4_mixed(), complete_doubled(5, loops=(1,))]
+    for g in graphs:
+        r = build_report(g)
+        assert r.agreement is (report.broken_identity(g, r) is None), serialize(g)
+    b2 = complete_doubled(3, loops=(1, 2))
+    r = build_report(b2)
+    assert r.agreement is None
+    assert report.broken_identity(b2, r) is None
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_compute_names_the_broken_identity(monkeypatch, capsys, json_flag):
+    # stdout and the exit code are what a disagreeing report always gave;
+    # the name goes to stderr, after the report
+    path = str(SAMPLES / "hub4_mixed.graph")
+    assert main(["compute", *json_flag, path]) == 0
+    agreeing = capsys.readouterr()
+    assert agreeing.err == ""
+    monkeypatch.setattr(report, "phi3_formula", _plus_one(report.phi3_formula))
+    assert main(["compute", *json_flag, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "broken identity: phi3\n"
+    expected = agreeing.out.replace("agreement           yes", "agreement           no")
+    expected = expected.replace("phi3 (census)       37", "phi3 (census)       38")
+    expected = expected.replace('"phi3_formula": 37', '"phi3_formula": 38')
+    expected = expected.replace('"agreement": true', '"agreement": false')
+    assert captured.out == expected != agreeing.out
 
 
 def test_verify_goes_through_build_report_only(monkeypatch, capsys):

@@ -76,6 +76,16 @@ def test_build_rejects_bad_vertices():
         SignedGraph(2, [Edge("x", 1, 2)])
 
 
+def test_build_rejects_a_negative_vertex_count():
+    with pytest.raises(VertexOutOfRange) as exc:
+        SignedGraph(-1, [])
+    assert str(exc.value) == "vertex count must be nonnegative, got -1"
+
+
+def test_repr_names_the_sizes():
+    assert repr(SignedGraph(3, [pos(1, 2), loop(3)])) == "SignedGraph(ell=3, n=2)"
+
+
 # (ell, edges, class, label, detail): each fault as the constructor reports it.
 # Its checks run in a fixed order (kind, endpoints, self pair, duplicate), so an
 # edge with two faults is reported by the first.

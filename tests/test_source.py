@@ -281,3 +281,19 @@ def test_elimination_entry_loop_never_reads_p():
     names = {node.id for node in ast.walk(loops[0]) if isinstance(node, ast.Name)}
     if "p" in names:
         raise AssertionError(f"_eliminate's entry loop at line {loops[0].lineno} reads p")
+
+
+def test_cli_leaves_the_identities_to_the_report():
+    # report.broken_identity is the one list of the cross-check's identities
+    # and their order; cli prints the name it returns, so it reads neither the
+    # counts nor the closed forms those identities compare, nor spells a name
+    trees = {path.name: tree for path, tree in _modules()}
+    named = _names(trees["cli.py"])
+    found = sorted(named & {"dim_i3_2_formula", "triangle_total", "triangle_count"})
+    found += sorted(
+        text
+        for text in ("triangle kinds", "dim I3_2 closed form")
+        if any(text in name for name in named)
+    )
+    if found:
+        raise AssertionError(f"cli.py re-derives the cross-check: {', '.join(found)}")
