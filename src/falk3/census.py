@@ -40,9 +40,6 @@ class Census(namedtuple("Census", "k3 k4 d3 d21 k22 k33 g_circ d31", defaults=(0
     def as_tuple(self) -> tuple[int, ...]:
         return tuple(self)
 
-    def triangle_total(self) -> int:
-        return self.k3 + self.d21 + self.k22
-
 
 def census(g: SignedGraph) -> Census:
     """Count the eight classes in one walk over the graph's pair table.

@@ -61,7 +61,7 @@ def _records(ell: int) -> tuple[tuple[Edge, ...], tuple[Edge, ...], tuple[Edge, 
 
 
 def random_no_b2(cfg: GenConfig, rng=None) -> SignedGraph:
-    """One B2-free sample.
+    """One B2-free sample, drawn from `rng`; with no `rng`, the first graph of sample_stream(cfg).
 
     The draw order is the reproducibility contract (PCG64 via numpy's
     default_rng): for each vertex pair in ascending order one uniform for
@@ -76,9 +76,7 @@ def random_no_b2(cfg: GenConfig, rng=None) -> SignedGraph:
     witness first, and the graph is built once, after the repairs.
     """
     if rng is None:
-        import numpy as np
-
-        rng = np.random.default_rng(cfg.seed)
+        return next(sample_stream(cfg))
     ell, p_pos, p_neg, p_loop = cfg.ell, cfg.edge_prob_pos, cfg.edge_prob_neg, cfg.loop_prob
     positive, negative, looped = _records(ell)
     # one call draws the same doubles, in the same order, as one call per uniform

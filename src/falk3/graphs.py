@@ -67,14 +67,18 @@ class SignedGraph:
         and a signed edge or loop met before (DuplicateEdge).  Every
         EdgeError carries the edge's label.  A signed edge is put on i < j
         and a loop on i == j; a new Edge is built only for an edge that
-        needs it, or for a plain (kind, i, j) triple.  The B2 witnesses need
-        two loops, so a graph with no loop skips their walk.
+        needs it, or for a plain (kind, i, j) triple.
+
+        The tables are the edge list, the pair -> signs table, the vertex ->
+        loop label table and the B2 witnesses; the pair and loop tables
+        double as the duplicate checks.  The B2 witnesses need two loops, so
+        a graph with no loop skips their walk, and the labels of +ij and -ij
+        are read off the edge list only for the pairs that are witnesses.
         """
         if ell < 0:
             raise VertexOutOfRange(f"vertex count must be nonnegative, got {ell}")
         normalized = []
-        # the label maps double as the duplicate check: tuple keys hash faster than Edge
-        sign_label = self._sign_label = {}  # (i, j, sign) -> label
+        # the pair and loop tables double as the duplicate checks
         signs = self._signs = {}  # i < j -> signs, positive first
         loops = self._loop_label = {}  # vertex -> label of its loop
         for label, e in enumerate(edges, start=1):
@@ -95,11 +99,11 @@ class SignedGraph:
                 if i > j:
                     i, j = j, i
                     e = Edge(kind, i, j)
-                if (i, j, s) in sign_label:
+                held = signs.get((i, j), ())
+                if s in held:
                     raise DuplicateEdge(f"duplicate {kind!r} edge at {(i, j)}", label)
-                sign_label[i, j, s] = label
                 # a pair met twice holds both signs
-                signs[i, j] = (1, -1) if (i, j) in signs else (s,)
+                signs[i, j] = (1, -1) if held else (s,)
             else:
                 if j != i:
                     e = Edge(LOOP, i, i)
@@ -112,11 +116,14 @@ class SignedGraph:
         self.edges: tuple[Edge, ...] = tuple(normalized)
         self.n = len(self.edges)
         # the B2 witnesses {+ij, -ij, loop i, loop j}: sorted label 4-tuples, in ascending order
+        pairs = [
+            (i, j) for (i, j), both in signs.items() if len(both) == 2 and i in loops and j in loops
+        ] if loops else ()
+        # one map for every witness, not a scan each: an Edge hashes and compares as its triple
+        label_of = {e: k for k, e in enumerate(self.edges, start=1)} if pairs else {}
         self._b2: tuple[tuple[int, int, int, int], ...] = tuple(sorted(
-            tuple(sorted((sign_label[i, j, 1], sign_label[i, j, -1], loops[i], loops[j])))
-            for (i, j), pair_signs in signs.items()
-            if len(pair_signs) == 2 and i in loops and j in loops
-        )) if loops else ()
+            tuple(sorted((label_of[POS, i, j], label_of[NEG, i, j], loops[i], loops[j]))) for i, j in pairs
+        ))
 
     # -- basic accessors ------------------------------------------------
 
@@ -136,8 +143,11 @@ class SignedGraph:
         return self._signs.get((min(i, j), max(i, j)), ())
 
     def edge_label(self, i: int, j: int, sign: int) -> int | None:
+        """Label of the edge of `sign` on pair {i, j}, or None; a scan of the edge list."""
         a, b = min(i, j), max(i, j)
-        return self._sign_label.get((a, b, sign))
+        if sign in self._signs.get((a, b), ()):
+            return self.edges.index((POS if sign == 1 else NEG, a, b)) + 1
+        return None
 
     def loop_label(self, v: int) -> int | None:
         return self._loop_label.get(v)

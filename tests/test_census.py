@@ -69,7 +69,7 @@ def test_triangle_total_matches_enumeration(looped_wedge, doubled_triangle_loop,
     def check(g):
         c = census(g)
         tris = triangles(g)
-        assert c.triangle_total() == len(tris)
+        assert c.k3 + c.d21 + c.k22 == len(tris)
         assert c.k3 == sum(1 for t in tris if t.kind == "k3")
         assert c.d21 == sum(1 for t in tris if t.kind == "d21")
         assert c.k22 == sum(1 for t in tris if t.kind == "k22")

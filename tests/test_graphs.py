@@ -98,6 +98,8 @@ _FAULTS = [
     pytest.param(2, [pos(1, 2), Edge(POS, 1, 1)], SelfPairEdge, 2, "signed edge from vertex 1 to itself", id="self-pair"),
     pytest.param(2, [Edge(POS, 1, 2), Edge(POS, 2, 1)], DuplicateEdge, 2, "duplicate '+' edge at (1, 2)", id="duplicate-ascending-first"),
     pytest.param(2, [Edge(NEG, 2, 1), Edge(NEG, 1, 2)], DuplicateEdge, 2, "duplicate '-' edge at (1, 2)", id="duplicate-descending-first"),
+    pytest.param(2, [neg(1, 2), Edge(NEG, 2, 1)], DuplicateEdge, 2, "duplicate '-' edge at (1, 2)", id="duplicate-reversed"),
+    pytest.param(3, [pos(1, 2), neg(1, 2), Edge(NEG, 2, 1)], DuplicateEdge, 3, "duplicate '-' edge at (1, 2)", id="duplicate-on-a-doubled-pair"),
     pytest.param(2, [loop(1), pos(1, 2), loop(1)], DuplicateEdge, 3, "duplicate 'o' edge at (1, 1)", id="duplicate-loop"),
 ]
 
@@ -337,6 +339,10 @@ def test_tables_match_the_edge_list(g):
     for i, j in itertools.combinations(range(1, g.ell + 1), 2):
         signs = {e.sign for e in g.edges if not e.is_loop and e.pair == (i, j)}
         assert g.signs_on(i, j) == g.signs_on(j, i) == tuple(sorted(signs, reverse=True))
+        # edge_label reads the pair table and the edge list: a scan by definition
+        for s in (1, -1, 0):
+            scan = [k for k, e in enumerate(g.edges, start=1) if not e.is_loop and e.pair == (i, j) and e.sign == s]
+            assert g.edge_label(i, j, s) == g.edge_label(j, i, s) == (scan[0] if scan else None)
 
 
 @given(graphs_with_sigma(max_ell=4))

@@ -175,11 +175,13 @@ def _graph_reads(function) -> set[str]:
 
 def test_rank_side_reads_only_the_edge_list():
     # the census checks the rank side's triangles only while the rank side
-    # never reads the graph's label maps, its pair -> signs table, its vertex
-    # triangles, its B2 table or flag, or the census; the rank side finds its
-    # 4-flats (the B2 witnesses) itself.  Every function of algebra.py that
-    # rank_side or triangles calls, directly or through another, is held to
-    # this, and reads nothing of a SignedGraph but its edges and n
+    # never reads the graph's vertex -> loop label table, its pair -> signs
+    # table, its vertex triangles, its B2 table or flag, or the census; the
+    # rank side finds its 4-flats (the B2 witnesses) itself.  A (pair, sign)
+    # -> label map stays forbidden too, so that no such table comes back.
+    # Every function of algebra.py that rank_side or triangles calls,
+    # directly or through another, is held to this, and reads nothing of a
+    # SignedGraph but its edges and n
     forbidden = {
         "_vertex_triangles", "_neighbours", "_sign_label", "_loop_label", "_signs", "census",
         "_b2", "b2_witnesses", "contains_b2",
