@@ -17,19 +17,19 @@ flat.  A triangle's kind (k3, d21, k22) is its number of loops (see
 and k22 on every B2-free graph.
 
 `rank_side` is the one rank-side pass per graph: the flats once, then one
-exact elimination over two groups of rows.  dim A^2 needs no rows:
+exact elimination over the span rows.  dim A^2 needs no rows:
 Brieskorn's lemma gives it as the sum over the rank-2 flats X of
 m_X - 1, with m_X the flat's member count, and a label pair in no flat
 of 3 or more is a flat of 2; so dim A^2 = C(n,2) - the sum of
 C(m_X - 1, 2) over the flats of `_rank_flats`, which is C(n,2) -
 #triangles + #4-flats.  The rows e_t ^ boundary(e_T) with t outside T
-(span F3) come first, then the unit rows +-e_T that t inside T gives
-(I3_2); span rows are built from four sign patterns and streamed in,
-never all alive at once.  The monomials e_xyz (x < y < z) are keyed by
+span F3; they are built from four sign patterns and streamed in, never
+all alive at once.  The rows with t inside T are the unit rows +-e_T, and
+I3_2 is the span of both kinds; no unit row is ranked (see the end of
+this docstring).  The monomials e_xyz (x < y < z) are keyed by
 the int (x * N + y) * N + z with N = n + 1.  Every label is below N, so a
 key is the labels written in base N, and the keys sort as the tuples do.
-Each group's pivot count less the one before it is that group's rank
-over the earlier ones.  The elimination takes the least key of a row as
+The elimination takes the least key of a row as
 its lead, so it picks the same pivots as on tuple keys; an int hashes
 and compares faster than a tuple.  `ideal3_rows`, `span_f3_rows`, `wedge`
 and `boundary` keep the tuple-keyed generating set as the reference
@@ -41,19 +41,28 @@ row the coefficient 0; so if each row of R1 has such a column, rank(all) =
 |R1| + rank(the rest).  Which rows have one is read off the flats in one
 pass (`_shared_rows`).  In a 3-flat no other triangle holds a pair of T;
 in a 4-flat every pair of T lies in a second triangle of the flat.
-- Span rows: the row for T = {a < b < c} and t outside T has the columns
-  {t, x, y} for the pairs xy of T.  No other row, span or unit, has the
-  column {t, x, y} unless another triangle holds xy, or some triangle holds
-  tx or ty (a unit row e_txy is the second case).  So the span rows of a
-  4-flat triangle are all kept, and those of a 3-flat triangle only for
-  the t that share a flat with two of its labels: dim span F3 = #private +
-  rank(the other span rows).
-- Unit rows: the column T of e_T lies in a span row e_t ^ boundary(e_T')
-  only when T' is another triangle holding a pair of T, and t is the third
-  label of T.  So a 3-flat's e_T adds 1 to dim I3_2, and only the unit
-  rows of the 4-flat triangles enter the pass.
-A 4-flat is a B2 ({+ij, -ij, loop i, loop j}), so on a B2-free graph the
-pass ranks only span rows, and dim I3_2 = dim span F3 + #triangles.
+The row for T = {a < b < c} and t outside T has the columns {t, x, y}
+for the pairs xy of T.  No other span row has the column {t, x, y} unless
+another triangle holds xy, or some triangle holds tx or ty.  So the span
+rows of a 4-flat triangle are all kept, and those of a 3-flat triangle
+only for the t that share a flat with two of its labels: dim span F3 =
+#private + rank(the other span rows).
+
+The unit rows need no elimination.  The column T of e_T lies in a span
+row e_t ^ boundary(e_T') only when T' is another triangle holding a pair
+of T and t is the third label of T.  In a 3-flat no triangle does, so a
+3-flat's e_T adds 1 to dim I3_2; a 4-flat's unit rows already lie in
+span F3.  Take a 4-flat X = {a < b < c < d}, which is a B2 ({+ij, -ij,
+loop i, loop j}); for t in X let T = X - t, eps_t = (-1)^(position of t
+in X) and f_t = eps_t e_T.  The Leibniz rule gives d(e_t ^ e_T) = e_T - e_t ^ dT,
+and e_t ^ e_T = eps_t e_X with dX = sum of f_s, so
+eps_t (e_t ^ dT) = f_t - sum of f_s.  These four span rows are kept (every
+pair of T lies in a second triangle of X), and in the basis f they form
+I - J, with determinant 1 - 4 = -3.  Over the rationals they span
+<e_T : T in X>, so dim I3_2 = dim span F3 + #3-flats; on a B2-free graph
+that is dim span F3 + #triangles.  Over Z/3 the identity fails, as the
+determinant vanishes; `rank_side` works over the rationals, and the -3
+pivots are why some graphs with B2 reach the `Fraction` scaling.
 """
 
 from __future__ import annotations
@@ -275,21 +284,20 @@ def _span_f3_row_stream(jobs, base: int):
                 yield {bc * base + t: 1, ac * base + t: -1, ab * base + t: 1}
 
 
-def _shared_rows(n: int, flats) -> tuple[list, int, list]:
-    """The rows with no private column: span-F3 row-stream jobs (a triangle
-    and the bitmask of its kept t), the count of span rows left out, and the
-    triangles whose unit row is kept.
+def _shared_rows(n: int, flats) -> tuple[list, int, int]:
+    """The span rows with no private column, as span-F3 row-stream jobs (a
+    triangle and the bitmask of its kept t), then the count of span rows
+    left out and the number of 4-flats.
 
     The column {t, x, y} of row e_t ^ boundary(e_T) is shared when another
-    triangle holds the pair xy, or t shares a flat with x or y; the unit
-    row e_T is shared when another triangle holds a pair of T (see the
+    triangle holds the pair xy, or t shares a flat with x or y (see the
     module docstring).  A pair lies in one flat, so in a 4-flat every pair
     of T is in a second triangle and every row is kept, and in a 3-flat
-    none is: its t is kept when it shares a flat with two labels of T, and
-    its unit row is private.  Label sets are bitmasks: bit t stands for
-    label t.  One pass ORs each flat's mask into the partner mask of each
-    of its labels; a second reads a 3-flat's three partner masks, or gives
-    a 4-flat's four triangles every t outside them and their unit rows.
+    none is: its t is kept when it shares a flat with two labels of T.
+    Label sets are bitmasks: bit t stands for label t.  One pass ORs each
+    flat's mask into the partner mask of each of its labels; a second reads
+    a 3-flat's three partner masks, or gives a 4-flat's four triangles every
+    t outside them.
     """
     partners = [0] * (n + 1)  # label -> the labels of its flats
     for flat in flats:
@@ -307,8 +315,7 @@ def _shared_rows(n: int, flats) -> tuple[list, int, list]:
                 partners[x] |= mask
     every = (1 << n + 1) - 2  # labels 1..n
     jobs = []
-    units = []
-    private = 0
+    private = fours = 0
     for flat in flats:
         if len(flat) == 3:
             a, b, c = flat
@@ -319,11 +326,11 @@ def _shared_rows(n: int, flats) -> tuple[list, int, list]:
                 jobs.append((flat, near))
         else:
             # every t outside the triangle is kept, so no span row is private
+            fours += 1
             for tri in itertools.combinations(flat, 3):
                 a, b, c = tri
                 jobs.append((tri, every & ~(1 << a | 1 << b | 1 << c)))
-                units.append(tri)
-    return jobs, private, units
+    return jobs, private, fours
 
 
 def rows_to_matrix(rows) -> np.ndarray:
@@ -349,32 +356,25 @@ def rank_side(g: SignedGraph) -> tuple[int, int, int, int, dict[str, int]]:
     """(#triangles, dim A^2, dim span F3, dim I3_2, triangles by kind) of one graph.
 
     dim A^2 is Brieskorn's count over the flats (see the module docstring).
-    One elimination over the rows with no private column, in two groups:
-    the span rows (c1 pivots) and the unit rows (c2).  Every other row is
-    counted, not eliminated.  On a B2-free graph every flat has 3 members,
-    so only span rows enter: dim A^2 = C(n,2) - #triangles and dim I3_2 =
-    dim span F3 + #triangles.  On a graph with B2 some e_T may already lie
-    in span F3, and the pass ranks those unit rows.  The counts need one
-    number besides the flat count: the 4-flats, each of which gives the unit
-    rows of its 4 triangles.  A 3-flat holds 1 triangle and a 4-flat 4, so
-    #triangles = #flats + 3 #4-flats, and dim A^2 = C(n,2) - #triangles +
-    #4-flats.  The kinds map each of `_KINDS` to its count: the flats give
-    the triangles with one loop and with two, and the rest of the count,
-    all on 3-vertex flats, holds none.  Reads only the graph's n and edges.
+    One elimination over the span rows with no private column; the other
+    span rows are counted, not eliminated, and no unit row is ranked: a
+    3-flat's e_T adds 1 to dim I3_2 and a 4-flat's already lie in span F3,
+    so dim I3_2 = dim span F3 + #3-flats.  The counts need one number
+    besides the flat count: the 4-flats.  A 3-flat holds 1 triangle and a
+    4-flat 4, so #triangles = #flats + 3 #4-flats, and dim A^2 = C(n,2) -
+    #triangles + #4-flats.  On a B2-free graph every flat has 3 members, so
+    dim A^2 = C(n,2) - #triangles and dim I3_2 = dim span F3 + #triangles.
+    The kinds map each of `_KINDS` to its count: the flats give the
+    triangles with one loop and with two, and the rest of the count, all on
+    3-vertex flats, holds none.  Reads only the graph's n and edges.
     """
     flats, one, two = _rank_flats(g.edges)
-    jobs, private, units = _shared_rows(g.n, flats)
-    base = g.n + 1
+    jobs, private, fours = _shared_rows(g.n, flats)
     # streamed: each row is built when the elimination reads it, never all at once
-    c1, c2 = rank._eliminate(
-        [_span_f3_row_stream(jobs, base), ({(a * base + b) * base + c: 1} for a, b, c in units)],
-        None,
-    )
-    # a 4-flat holds 4 triangles, and each gives a unit row
-    fours = len(units) // 4
+    span = private + rank._eliminate(_span_f3_row_stream(jobs, g.n + 1), None)
     count = len(flats) + 3 * fours
     kinds = {_KINDS[0]: count - one - two, _KINDS[1]: one, _KINDS[2]: two}
-    return count, comb(g.n, 2) - count + fours, private + c1, private + c2 + count - len(units), kinds
+    return count, comb(g.n, 2) - count + fours, span, span + len(flats) - fours, kinds
 
 
 def dim_a2(g: SignedGraph) -> int:

@@ -1,20 +1,18 @@
 """Exact matrix rank by sparse elimination.
 
-The pipeline ranks two kinds of degree-3 rows: the rows
-e_t ^ boundary(e_T), each with three entries of +-1 among thousands of
-columns, and the unit rows e_T.  So rows stay sparse, as dicts from column
-key to value, and one loop ranks them: each row has its leading entry
-(least column key) cancelled against the pivot row kept for that column
-until it is zero or takes a column with no pivot yet, where it is stored,
-scaled to leading coefficient 1.  Over the
+The pipeline ranks the degree-3 rows e_t ^ boundary(e_T), each with three
+entries of +-1 among thousands of columns.  So rows stay sparse, as dicts
+from column key to value, and one loop ranks them: each row has its leading
+entry (least column key) cancelled against the pivot row kept for that
+column until it is zero or takes a column with no pivot yet, where it is
+stored, scaled to leading coefficient 1.  Over the
 rationals the scaling is exact in `Fraction`; over Z/p it is a modular
 inverse.  The rank is the number of pivots.  Over Z/p the row is reduced
 mod p once as it comes in and once after each reduction step, so the
 per-entry loop is the same on both paths and never tests p.
 
-Rows come in groups sharing one set of pivots, so one pass gives the rank
-of the rows up to the end of each group.  A group is read once, so it may be
-a generator: rows can be built while they are eliminated.
+The rows are read once, so they may come from a generator: rows can be
+built while they are eliminated.
 
 bigint_rank is a separate dense fraction-free elimination; it is the
 independent reference the tests use.
@@ -70,59 +68,60 @@ def bigint_rank(rows) -> int:
     return rank
 
 
-def _eliminate(groups, p: int | None) -> list[int]:
-    """Pivot counts of sparse row groups over the rationals (p None) or over Z/p.
+def _eliminate(rows, p: int | None) -> int:
+    """Rank of sparse rows over the rationals (p None) or over Z/p.
 
-    Entry k is the rank of the rows of groups 0..k together.  The rows are
-    taken over: each must be a dict of its own without zero entries, and the
-    elimination may reduce it in place and keep it as a pivot.
+    The rows are read once and taken over: each must be a dict of its own
+    without zero entries, and the elimination may reduce it in place and
+    keep it as a pivot.
     """
     pivots = {}
-    counts = []
-    for rows in groups:
-        for row in rows:
+    for row in rows:
+        if p:
+            row = {k: w for k, v in row.items() if (w := v % p)}
+        while row:
+            lead = min(row)
+            f = row[lead]
+            pivot = pivots.get(lead)
+            if pivot is None:
+                if f == 1:
+                    pivots[lead] = row
+                elif p:
+                    inv = pow(f, -1, p)
+                    pivots[lead] = {k: v * inv % p for k, v in row.items()}
+                elif f == -1:
+                    pivots[lead] = {k: -v for k, v in row.items()}
+                else:
+                    # rare for rows of +-1 entries: over the rationals a 4-flat's
+                    # span rows have determinant -3 (see algebra), so some graphs
+                    # with B2 get here; fractions is imported here, off the
+                    # start-up path
+                    from fractions import Fraction
+
+                    inv = Fraction(1, f)
+                    pivots[lead] = {k: v * inv for k, v in row.items()}
+                break
+            for k, v in pivot.items():
+                w = row.get(k, 0) - f * v
+                if w:
+                    row[k] = w
+                else:
+                    del row[k]
             if p:
                 row = {k: w for k, v in row.items() if (w := v % p)}
-            while row:
-                lead = min(row)
-                f = row[lead]
-                pivot = pivots.get(lead)
-                if pivot is None:
-                    if f == 1:
-                        pivots[lead] = row
-                    elif p:
-                        inv = pow(f, -1, p)
-                        pivots[lead] = {k: v * inv % p for k, v in row.items()}
-                    elif f == -1:
-                        pivots[lead] = {k: -v for k, v in row.items()}
-                    else:
-                        # rare for rows of +-1 entries (some graphs with B2 get here),
-                        # so fractions is imported here, off the start-up path
-                        from fractions import Fraction
-
-                        inv = Fraction(1, f)
-                        pivots[lead] = {k: v * inv for k, v in row.items()}
-                    break
-                for k, v in pivot.items():
-                    w = row.get(k, 0) - f * v
-                    if w:
-                        row[k] = w
-                    else:
-                        del row[k]
-                if p:
-                    row = {k: w for k, v in row.items() if (w := v % p)}
-        counts.append(len(pivots))
-    return counts
+    return len(pivots)
 
 
 def exact_rank(m) -> int:
     """Rank over the rationals of a dense integer matrix or a list of sparse dict rows."""
-    return _eliminate([_sparse_rows(m)], None)[-1]
+    return _eliminate(_sparse_rows(m), None)
 
 
 def modp_rank(m, p: int = SCREEN_PRIME) -> int:
     """Rank over Z/p for a prime p; never exceeds the rank over the rationals."""
-    return _eliminate([_sparse_rows(m)], p)[-1]
+    if p < 2:
+        raise ValueError(f"modp_rank needs a prime modulus, got p = {p}")
+    return _eliminate(_sparse_rows(m), p)
 
 
 def warmup() -> None:

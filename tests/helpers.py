@@ -4,7 +4,7 @@ import itertools
 
 from hypothesis import strategies as st
 
-from falk3 import InternalKindMismatch, SignedGraph, Triangle, bigint_rank, loop, neg, pos
+from falk3 import InternalKindMismatch, SignedGraph, Triangle, bigint_rank, loop, neg, pos, rank
 
 
 def hub4_mixed() -> SignedGraph:
@@ -14,6 +14,22 @@ def hub4_mixed() -> SignedGraph:
         pos(1, 2), pos(1, 4), pos(3, 4), pos(2, 3), pos(2, 4), pos(1, 3),
         neg(1, 2), neg(1, 4), neg(1, 3), neg(2, 3), loop(1),
     ])
+
+
+def count_eliminations(monkeypatch) -> list:
+    """Wrap `rank._eliminate` so that each call appends (p, the entry count of
+    each row it ranks) to the returned list, read before the rows are reduced.
+    Span rows have three entries and unit rows one."""
+    calls = []
+    eliminate = rank._eliminate
+
+    def counting_eliminate(rows, p):
+        rows = list(rows)
+        calls.append((p, [len(row) for row in rows]))
+        return eliminate(rows, p)
+
+    monkeypatch.setattr(rank, "_eliminate", counting_eliminate)
+    return calls
 
 
 def b2_graph() -> SignedGraph:

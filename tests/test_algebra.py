@@ -26,6 +26,7 @@ from falk3 import (
     exact_rank,
     ideal3_rows,
     loop,
+    modp_rank,
     neg,
     phi3_from_dims,
     phi3_formula,
@@ -38,10 +39,11 @@ from falk3 import (
     triangles,
     wedge,
 )
-from falk3 import algebra, rank
+from falk3 import algebra
 from helpers import (
     _dependent,
     b2_graph,
+    count_eliminations,
     graph_from_states,
     graphs_with_sigma,
     signed_graphs,
@@ -424,7 +426,10 @@ def _assert_one_pass_matches_two_eliminations(g):
     expected = (exact_rank(span_rows), exact_rank(both))
     assert algebra.rank_side(g)[2:4] == expected
     assert (dim_span_f3(g), rank_i3_2(g)) == expected
-    assert exact_rank(ideal3_rows(g)) == expected[1]
+    ideal = exact_rank(ideal3_rows(g))
+    assert ideal == expected[1]
+    # a B2 flat's 4 unit rows lie in span F3 (see the 4-flat lemma test)
+    assert ideal == exact_rank(span_rows) + len(triangles(g)) - 4 * len(g.b2_witnesses())
     if len(both) <= 120:
         dense = (bigint_rank(rows_to_matrix(span_rows)), bigint_rank(rows_to_matrix(both)))
         assert dense == expected
@@ -444,33 +449,27 @@ def test_one_pass_matches_two_eliminations_on_doubled(ell, loops):
 
 
 def test_rank_side_eliminates_only_rows_without_a_private_column(monkeypatch, hub4):
-    calls = []
-    eliminate = rank._eliminate
-
-    def counting_eliminate(groups, p):
-        groups = [list(rows) for rows in groups]
-        calls.append([len(rows) for rows in groups])
-        return eliminate(groups, p)
-
-    monkeypatch.setattr(rank, "_eliminate", counting_eliminate)
+    calls = count_eliminations(monkeypatch)
     count, _a2, span, ideal, _kinds = algebra.rank_side(hub4)
     assert (count, span, ideal) == (12, 83, 95)
     # B2-free: every unit row has a private column and dim A^2 is counted,
     # so the one elimination ranks only the shared span rows
     assert len(calls) == 1
-    span_rows, unit_rows = calls[0]
-    assert unit_rows == 0
-    assert 0 < span_rows < count * (hub4.n - 3) == 96
+    p, sizes = calls[0]
+    assert p is None
+    assert set(sizes) == {3}
+    assert 0 < len(sizes) < count * (hub4.n - 3) == 96
 
     calls.clear()
     g = complete_doubled(4, loops=(1, 2))
     assert algebra.rank_side(g)[:4] == (24, comb(14, 2) - 24 + 1, 212, 232)
-    # still one elimination: the shared span rows, then the unit rows of
-    # the 4 triangles in the B2 flat
+    # with B2, still one elimination of shared span rows and no unit row:
+    # the B2 flat's unit rows lie in the span of its span rows
     assert len(calls) == 1
-    span_rows, unit_rows = calls[0]
-    assert unit_rows == 4
-    assert 0 < span_rows < 24 * (g.n - 3)
+    p, sizes = calls[0]
+    assert p is None
+    assert set(sizes) == {3}
+    assert 0 < len(sizes) < 24 * (g.n - 3)
 
 
 @pytest.mark.parametrize(
@@ -481,32 +480,28 @@ def test_rank_side_eliminates_few_rows_on_the_benchmark_pools(monkeypatch, ell, 
     # the verify-ell7 and verify-ell5 pools (one sampler graph per seed); the
     # value pins cannot see a walk that keeps more rows than it needs, this
     # can: 19.5 of 179.6 span rows per graph at 7 vertices, 5.0 of 27.7 at 5
-    calls = []
-    eliminate = rank._eliminate
-
-    def counting_eliminate(groups, p):
-        groups = [list(rows) for rows in groups]
-        calls.append([len(rows) for rows in groups])
-        return eliminate(groups, p)
-
-    monkeypatch.setattr(rank, "_eliminate", counting_eliminate)
+    calls = count_eliminations(monkeypatch)
     every = 0
     for seed in range(seeds):
         for g in sample_stream(GenConfig(ell=ell, seed=seed)):
             count, *_ = algebra.rank_side(g)
             every += count * (g.n - 3)
     assert len(calls) == seeds
-    assert [sum(rows) for rows in zip(*calls)] == [span_rows, 0]
+    assert {p for p, _sizes in calls} == {None}
+    assert sum(len(sizes) for _p, sizes in calls) == span_rows
+    assert all(set(sizes) <= {3} for _p, sizes in calls)
     assert every == all_span_rows
 
 
 def test_ideal_dim_is_not_span_plus_triangles_with_b2():
-    # some unit rows e_T already lie in span F3, so the pass cannot be an addition
+    # the B2 flat's four unit rows e_T already lie in span F3, so
+    # dim I3_2 = dim span F3 + #triangles - 4 #4-flats = 212 + 24 - 4 * 1
     g = complete_doubled(4, loops=(1, 2))
     assert g.contains_b2()
     assert len(triangles(g)) == 24
+    assert len(g.b2_witnesses()) == 1
     assert dim_span_f3(g) == 212
-    assert rank_i3_2(g) == exact_rank(ideal3_rows(g)) == 232 != 212 + 24
+    assert rank_i3_2(g) == exact_rank(ideal3_rows(g)) == 232 == 212 + 24 - 4 * 1 != 212 + 24
 
 
 def test_direct_sum_identity(looped_wedge, doubled_triangle_loop, hub4):
@@ -541,6 +536,37 @@ def _random_b2_graphs(count, seed):
 # label pair, and eliminations over every boundary and unit row), so the pin
 # compares the current one against an independent implementation.
 _RANK_SIDE_SHA256 = "82a69f54b5bb3039c53e26de237ebcb2ca760581a803a9ce91b85ddea29f2031"
+
+
+def _assert_four_flat_span_rows_span_its_unit_rows(flat):
+    # for t in X let T = X - t and f_t = (-1)^(position of t) e_T; the Leibniz
+    # rule gives (-1)^(position of t) (e_t ^ boundary(e_T)) = f_t - sum of f_s,
+    # so the four rows form I - J in the basis f, with determinant -3
+    rows = [wedge(t, boundary(tuple(x for x in flat if x != t))) for t in flat]
+    f = [{tuple(x for x in flat if x != t): (-1) ** pos} for pos, t in enumerate(flat)]
+    for pos, row in enumerate(rows):
+        # f_t - sum of f_s is minus the other three f_s
+        expected = {mono: -v for s, f_s in enumerate(f) if s != pos for mono, v in f_s.items()}
+        assert {mono: (-1) ** pos * v for mono, v in row.items()} == expected
+    units = [{tuple(x for x in flat if x != t): 1} for t in flat]
+    assert exact_rank(rows) == exact_rank(rows + units) == 4
+    # over Z/3 the determinant vanishes, and with it the lemma
+    assert modp_rank(rows, 3) == 3
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4, 5])
+def test_four_flat_span_rows_span_its_unit_rows_on_doubled(ell):
+    g = complete_doubled(ell, loops=range(1, ell + 1))
+    witnesses = g.b2_witnesses()
+    assert len(witnesses) == comb(ell, 2)
+    for flat in witnesses:
+        _assert_four_flat_span_rows_span_its_unit_rows(flat)
+
+
+def test_four_flat_span_rows_span_its_unit_rows_on_random_b2_graphs():
+    for g in _random_b2_graphs(100, seed=5):
+        for flat in g.b2_witnesses():
+            _assert_four_flat_span_rows_span_its_unit_rows(flat)
 
 
 def test_rank_side_is_pinned_by_value():

@@ -24,10 +24,10 @@ from falk3 import (
     pos,
     serialize,
 )
-from falk3 import algebra, build_report, cli, rank, report
+from falk3 import algebra, build_report, cli, report
 from falk3.cli import main
 from falk3.errors import FalkError
-from helpers import hub4_mixed, signed_graphs
+from helpers import count_eliminations, hub4_mixed, signed_graphs
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "samples"
@@ -392,25 +392,16 @@ def test_verify_goes_through_build_report_only(monkeypatch, capsys):
 def test_build_report_runs_one_elimination(monkeypatch, one_pass):
     # B2-free: every unit row has a private column and dim A^2 is counted, so
     # the one elimination ranks only the shared span rows
-    calls = []
-    eliminate = rank._eliminate
-
-    def counting_eliminate(groups, p):
-        groups = [list(rows) for rows in groups]
-        calls.append((p, [len(rows) for rows in groups]))
-        return eliminate(groups, p)
-
-    monkeypatch.setattr(rank, "_eliminate", counting_eliminate)
+    calls = count_eliminations(monkeypatch)
     if one_pass == "build_report":
         report = build_report(hub4_mixed())
         assert (report.dim_span_F3, report.dim_I3_2, report.agreement) == (83, 95, True)
     else:
         assert phi3_oracle(hub4_mixed()) == 37
     assert len(calls) == 1
-    p, (span_rows, unit_rows) = calls[0]
+    p, sizes = calls[0]
     assert p is None
-    assert unit_rows == 0
-    assert span_rows > 0
+    assert set(sizes) == {3}
 
 
 @given(signed_graphs(max_ell=5, allow_b2=True))

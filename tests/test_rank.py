@@ -107,15 +107,22 @@ def test_input_is_not_mutated():
 
 
 def test_elimination_takes_one_shot_generators():
-    # the degree-3 pass streams its rows: a generator must give the counts a list gives
+    # the degree-3 pass streams its rows: a generator must give the rank a list gives
     for g in (complete_doubled(3, loops=(1,)), complete_doubled(4, loops=(1, 2))):
         rows = ideal3_rows(g)
-        half = len(rows) // 2
         for p in (None, rank.SCREEN_PRIME, 3):
             # _eliminate takes its rows over, so each call gets fresh copies
-            listed = rank._eliminate([[dict(r) for r in rows[:half]], [dict(r) for r in rows[half:]]], p)
-            streamed = rank._eliminate([(dict(r) for r in rows[:half]), iter([dict(r) for r in rows[half:]])], p)
+            listed = rank._eliminate([dict(r) for r in rows], p)
+            streamed = rank._eliminate((dict(r) for r in rows), p)
             assert streamed == listed
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_modp_rank_refuses_a_modulus_below_two(p):
+    # Z/0 is Z and Z/1 the zero ring: neither is a field, and the rank over
+    # either (2 and 0 here) is not a rank mod a prime
+    with pytest.raises(ValueError, match="prime"):
+        modp_rank([[2, 0], [0, 3]], p)
 
 
 @given(small_matrices, st.integers(-2, 2))
