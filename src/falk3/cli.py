@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (including oracle-only runs on B2 graphs), 1 file or
 input errors, 2 a computed disagreement between the rank side and the census
-(`report.broken_identity` names it).
+(`report.broken_identity` names it) or a usage error, which argparse reports
+with the usage of the command named, or of falk3 when none is.
 """
 
 import argparse
@@ -93,8 +94,8 @@ def _cmd_switch(args) -> int:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process.
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser by name, built once per process.
 
     Its actions and groups point back at each other, so a parser built per
     call would be cyclic garbage that only a full collection frees.
@@ -104,16 +105,22 @@ def _parser() -> argparse.ArgumentParser:
         description="Third invariant of a signed-graph arrangement, two independent ways.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    p = sub.add_parser("compute", help="full report: ranks, census, agreement")
+    p = commands["compute"] = sub.add_parser("compute", help="full report: ranks, census, agreement")
+    p.set_defaults(handler=_cmd_compute)
     p.add_argument("path", help="graph file")
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
-    p = sub.add_parser("census", help="subgraph census and the closed-form value")
+    p = commands["census"] = sub.add_parser("census", help="subgraph census and the closed-form value")
+    p.set_defaults(handler=_cmd_census)
     p.add_argument("path", help="graph file")
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
-    p = sub.add_parser("verify", help="cross-validate formula against oracle on many graphs")
+    p = commands["verify"] = sub.add_parser(
+        "verify", help="cross-validate formula against oracle on many graphs"
+    )
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("--vertices", type=int, required=True, help="number of vertices")
     p.add_argument("--samples", type=int, default=100, help="random samples to draw")
     p.add_argument("--seed", type=int, default=0, help="PRNG seed")
@@ -122,22 +129,23 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--neg", type=float, default=0.3, help="negative edge probability")
     p.add_argument("--loop", type=float, default=0.3, help="loop probability")
 
-    p = sub.add_parser("switch", help="apply a switching function and print the graph")
+    p = commands["switch"] = sub.add_parser("switch", help="apply a switching function and print the graph")
+    p.set_defaults(handler=_cmd_switch)
     p.add_argument("path", help="graph file")
     p.add_argument("--sigma", required=True, help="comma-separated +/- per vertex")
-    return parser
+    return parser, commands
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    handlers = {
-        "compute": _cmd_compute,
-        "census": _cmd_census,
-        "verify": _cmd_verify,
-        "switch": _cmd_switch,
-    }
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parser()
+    # the top-level parser would only read argv[0] and hand the rest to the
+    # command's own parser, so a named command goes to that parser at once;
+    # anything else (no command, -h, an unknown command) gets the top level
+    command = commands.get(argv[0]) if argv else None
+    args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (FalkError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -35,6 +35,8 @@ class GenConfig(
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {p}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
         if self.samples < 1:
             raise ValueError(f"samples must be at least 1, got {self.samples}")
         return self

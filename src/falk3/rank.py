@@ -21,6 +21,35 @@ independent reference the tests use.
 # Default modulus of modp_rank; a prime, so Z/p is a field.
 SCREEN_PRIME = 2_147_483_647
 
+# Miller-Rabin to the first 13 prime bases is exact below the least strong
+# pseudoprime to all of them (Sorenson and Webster 2015); to the first 12,
+# up to 37, it passes 318665857834031151167461 = 399165290221 * 798330580441.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; exact for every p below _EXACT_BELOW."""
+    if p < 2:
+        return False
+    for a in _WITNESSES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
+            return False
+    return True
+
 
 def _sparse_rows(m) -> list[dict]:
     """Rows of `m` as fresh dicts without zeros, from a list of dict rows or a dense 2-d matrix.
@@ -118,8 +147,14 @@ def exact_rank(m) -> int:
 
 
 def modp_rank(m, p: int = SCREEN_PRIME) -> int:
-    """Rank over Z/p for a prime p; never exceeds the rank over the rationals."""
-    if p < 2:
+    """Rank over Z/p for a prime p; never exceeds the rank over the rationals.
+
+    A composite p is refused: Z/p is then no field, and elimination mod p
+    either meets a pivot with no inverse or counts no rank.
+    """
+    if p >= _EXACT_BELOW:
+        raise ValueError(f"modp_rank tests primality only below {_EXACT_BELOW}, got p = {p}")
+    if not _is_prime(p):
         raise ValueError(f"modp_rank needs a prime modulus, got p = {p}")
     return _eliminate(_sparse_rows(m), p)
 

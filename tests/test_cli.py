@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -444,6 +445,80 @@ def test_main_reuses_one_parser_without_carrying_state(capsys):
     assert main(["verify", "--vertices", "2", "--exhaustive"]) == 0
     out = capsys.readouterr().out.split("\n")
     assert out[:3] == ["4/4 graphs agree", "100/100 graphs agree", "15/15 graphs agree"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", str(SAMPLES / "hub4_mixed.graph")],
+        ["census", "--json", str(SAMPLES / "looped_wedge.graph")],
+        ["verify", "--vertices", "3", "--samples", "2"],
+        ["switch", str(SAMPLES / "looped_wedge.graph"), "--sigma=-,+,+"],
+    ],
+    ids=["compute", "census", "verify", "switch"],
+)
+def test_a_command_is_parsed_once_by_its_own_parser(monkeypatch, capsys, argv):
+    # the top-level parser only reads argv[0]; a named command skips it
+    parsed = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        parsed.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    assert main(argv) == 0
+    assert parsed == [f"falk3 {argv[0]}"]
+
+
+@pytest.mark.parametrize(
+    "argv,usage,error",
+    [
+        ([], "usage: falk3 [-h] {compute,census,verify,switch} ...",
+         "falk3: error: the following arguments are required: command"),
+        (["nope"], "usage: falk3 [-h] {compute,census,verify,switch} ...",
+         "falk3: error: argument command: invalid choice: 'nope'"),
+        (["verify", "--samples", "3"], "usage: falk3 verify [-h] --vertices VERTICES ",
+         "falk3 verify: error: the following arguments are required: --vertices"),
+        # an argument the command does not know gets that command's usage
+        (["verify", "--vertices", "3", "--bogus"], "usage: falk3 verify [-h] --vertices VERTICES ",
+         "falk3 verify: error: unrecognized arguments: --bogus"),
+    ],
+    ids=["no-command", "unknown-command", "missing-option", "unknown-argument"],
+)
+def test_usage_errors_exit_two(monkeypatch, capsys, argv, usage, error):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    # the lines are checked up to the length pinned: newer Pythons word
+    # the list of choices differently
+    lines = err.splitlines()
+    assert (out, lines[0][: len(usage)], lines[-1][: len(error)]) == ("", usage, error)
+
+
+@pytest.mark.parametrize(
+    "argv,usage", [(["-h"], "usage: falk3 [-h]"), (["verify", "-h"], "usage: falk3 verify [-h]")]
+)
+def test_help_exits_zero(capsys, argv, usage):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(usage) and err == ""
+
+
+def test_main_reads_sys_argv_by_default(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["falk3", "verify", "--vertices", "2", "--exhaustive"])
+    assert main() == 0
+    assert capsys.readouterr().out == "15/15 graphs agree\n"
+
+
+def test_verify_refuses_a_negative_seed(capsys):
+    # checked by GenConfig, so the message names the option before numpy sees it
+    assert main(["verify", "--vertices", "3", "--seed", "-1"]) == 1
+    assert capsys.readouterr() == ("", "error: seed must be at least 0, got -1\n")
 
 
 # ---------------------------------------------------------------- switch

@@ -128,7 +128,14 @@ def test_config_validation():
 
 @pytest.mark.parametrize(
     "field,value",
-    [("ell", 0), ("edge_prob_pos", 1.5), ("edge_prob_neg", -0.2), ("loop_prob", 1.01), ("samples", 0)],
+    [
+        ("ell", 0),
+        ("edge_prob_pos", 1.5),
+        ("edge_prob_neg", -0.2),
+        ("loop_prob", 1.01),
+        ("seed", -1),
+        ("samples", 0),
+    ],
 )
 def test_replace_and_make_validate(field, value):
     # _replace builds through _make, and _make through the checks of GenConfig(...)

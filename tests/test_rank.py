@@ -125,6 +125,39 @@ def test_modp_rank_refuses_a_modulus_below_two(p):
         modp_rank([[2, 0], [0, 3]], p)
 
 
+@pytest.mark.parametrize(
+    "p,m",
+    [
+        # 2 has no inverse mod 4, so the elimination could not scale its pivot
+        (4, [[2, 0], [0, 1]]),
+        # mod 8 the step leaves 1 - 3 * 3 = -8 = 0: rank 1 against 2 over Q
+        (8, [[1, 3], [3, 1]]),
+        # a strong pseudoprime to all 12 prime bases up to 37; base 41 shows it composite
+        (318665857834031151167461, [[1, 0], [0, 1]]),
+    ],
+)
+def test_modp_rank_refuses_composite_moduli(p, m):
+    with pytest.raises(ValueError, match=f"prime modulus, got p = {p}$"):
+        modp_rank(m, p)
+
+
+def test_modp_rank_refuses_moduli_it_cannot_test():
+    p = rank._EXACT_BELOW
+    with pytest.raises(ValueError, match=f"only below {p}, got p = {p}$"):
+        modp_rank([[1]], p)
+    # the largest prime below 2^64 is still below the bound and accepted
+    assert modp_rank([[1, 1], [1, -1]], 2**64 - 59) == 2
+
+
+def test_primality_test_matches_sympy():
+    assert [n for n in range(-3, 5000) if rank._is_prime(n) != sympy.isprime(n)] == []
+    # Carmichael numbers and strong pseudoprimes to the first few bases;
+    # 211 * 421 * 631 has a^((n-1)/2) = 1 for every base, so a test that
+    # takes a 1 after squaring (not only -1) for a pass would call it prime
+    for n in (561, 1105, 2047, 1373653, 25326001, 3215031751, 3825123056546413051, 211 * 421 * 631):
+        assert not rank._is_prime(n)
+
+
 @given(small_matrices, st.integers(-2, 2))
 @settings(max_examples=100, deadline=None)
 def test_rows_with_zeros_and_multiples_of_p_match_bigint(m, k):
